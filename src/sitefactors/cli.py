@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -22,6 +23,7 @@ from .composite import (
     score_regions,
     sweep,
     top_k,
+    v_score,
 )
 from .config import KEY_TYPES, RunConfig, load_config_file
 from .datamodel import IngestionConfig, describe, load_table, standardize
@@ -67,10 +69,11 @@ EXIT_CODES = {
     AlphaRangeError: 5,
     ZeroDenominatorError: 5,
     KRangeError: 5,
+    OSError: 2,
 }
 
 
-def _exit_code(exc: SiteFactorsError) -> int:
+def _exit_code(exc: Exception) -> int:
     for klass, code in EXIT_CODES.items():
         if isinstance(exc, klass):
             return code
@@ -173,6 +176,13 @@ def _definition(config: RunConfig, n_factors: int):
     return definition
 
 
+def _typology_config(config: RunConfig) -> TypologyConfig:
+    return TypologyConfig(
+        balance_band=config["composite.balance_band"],
+        bias_band=config["composite.bias_band"],
+    )
+
+
 def _fit(config: RunConfig):
     """Shared fit stage: table -> standardized matrix -> canonical model."""
     table = _load(config)
@@ -229,19 +239,12 @@ def cmd_fit(config: RunConfig) -> int:
 
 
 def cmd_score(config: RunConfig) -> int:
+    typology = _typology_config(config)
     _, matrix, model, _, warnings = _fit(config)
     definition = _definition(config, model.n_factors)
     scores = factor_scores(model.scoring_weights, matrix)
     alpha = config["score.alpha"]
-    regions = score_regions(
-        scores,
-        definition,
-        alpha,
-        TypologyConfig(
-            balance_band=config["composite.balance_band"],
-            bias_band=config["composite.bias_band"],
-        ),
-    )
+    regions = score_regions(scores, definition, alpha, typology)
     out = Path(config["out"])
     write_scores_csv(out / "scores.csv", regions)
     k = min(config["score.top_k"], regions.n_regions)
@@ -259,21 +262,21 @@ def cmd_score(config: RunConfig) -> int:
 
 
 def cmd_sweep(config: RunConfig) -> int:
+    typology = _typology_config(config)
     _, matrix, model, _, warnings = _fit(config)
     definition = _definition(config, model.n_factors)
     scores = factor_scores(model.scoring_weights, matrix)
-    typology = TypologyConfig(
-        balance_band=config["composite.balance_band"],
-        bias_band=config["composite.bias_band"],
-    )
     composites = composite_scores(scores, definition)
     grid = sweep(composites, config.alphas(), config["sweep.thetas"])
     out = Path(config["out"])
     write_sweep_wide_csv(out / "sweep_wide.csv", grid)
     write_sweep_long_csv(out / "sweep_long.csv", grid)
     k = min(config["sweep.top_k"], len(composites.region_ids))
+    # one score table serves every alpha; only its v-scores depend on alpha
+    regions = score_regions(scores, definition, grid.alphas[0], typology)
     for alpha in grid.alphas:
-        ranking = top_k(score_regions(scores, definition, alpha, typology), k, "v_score")
+        v = v_score(composites.suitability, composites.attractiveness, alpha)
+        ranking = top_k(replace(regions, alpha=alpha, v_scores=v), k, "v_score")
         write_top_csv(
             out / f"top_regions_alpha_{grid_label(alpha)}.csv", ranking, "v_score"
         )
@@ -320,7 +323,7 @@ def main(argv=None) -> int:
     try:
         config = _resolve_config(args)
         return COMMANDS[args.command](config)
-    except SiteFactorsError as exc:
+    except (SiteFactorsError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _exit_code(exc)
 

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .engine import FactorScores
 from .errors import (
@@ -174,6 +173,13 @@ class TypologyConfig:
     balance_band: float = 0.1
     bias_band: float = 0.5
 
+    def __post_init__(self):
+        if not 0.0 <= self.balance_band <= self.bias_band:
+            raise SchemaError(
+                "typology bands need 0 <= balance_band <= bias_band, got "
+                f"{self.balance_band} and {self.bias_band}"
+            )
+
 
 @dataclass(frozen=True)
 class RegionScores:
@@ -234,7 +240,12 @@ def _rank_normalize(values: np.ndarray) -> np.ndarray:
     n = len(values)
     if n == 1:
         return np.array([0.5])
-    return (rankdata(values, method="average") - 1.0) / (n - 1.0)
+    # a value's average 0-based rank is the mean of the first and last sorted
+    # positions it occupies: (count below + count at or below - 1) / 2
+    ordered = np.sort(values)
+    below = np.searchsorted(ordered, values, side="left")
+    through = np.searchsorted(ordered, values, side="right")
+    return (below + through - 1) / 2.0 / (n - 1.0)
 
 
 def quadrant_classify(
@@ -250,34 +261,24 @@ def quadrant_classify(
     """
     suit = scores.suitability
     attr = scores.attractiveness
-    med_s = np.median(suit)
-    med_a = np.median(attr)
-    s_norm = _rank_normalize(suit)
-    a_norm = _rank_normalize(attr)
-    quadrants = []
-    typologies = []
-    for j in range(len(scores.region_ids)):
-        s_high = suit[j] >= med_s
-        a_high = attr[j] >= med_a
-        if s_high and a_high:
-            quadrant = Quadrant.BOTH_HIGH
-        elif s_high:
-            quadrant = Quadrant.SUITABILITY_BIASED
-        elif a_high:
-            quadrant = Quadrant.ATTRACTIVENESS_BIASED
-        else:
-            quadrant = Quadrant.BOTH_LOW
-        typology = Typology.NONE
-        if quadrant is Quadrant.BOTH_HIGH:
-            gap = s_norm[j] - a_norm[j]
-            if abs(gap) <= config.balance_band:
-                typology = Typology.BALANCED
-            elif gap > config.bias_band:
-                typology = Typology.SUITABILITY_BIASED
-            elif -gap > config.bias_band:
-                typology = Typology.ATTRACTIVENESS_BIASED
-        quadrants.append(quadrant)
-        typologies.append(typology)
+    s_high = suit >= np.median(suit)
+    a_high = attr >= np.median(attr)
+    both = s_high & a_high
+    gap = _rank_normalize(suit) - _rank_normalize(attr)
+    quadrants = np.select(
+        [both, s_high, a_high],
+        [Quadrant.BOTH_HIGH, Quadrant.SUITABILITY_BIASED, Quadrant.ATTRACTIVENESS_BIASED],
+        default=Quadrant.BOTH_LOW,
+    )
+    typologies = np.select(
+        [
+            both & (np.abs(gap) <= config.balance_band),
+            both & (gap > config.bias_band),
+            both & (-gap > config.bias_band),
+        ],
+        [Typology.BALANCED, Typology.SUITABILITY_BIASED, Typology.ATTRACTIVENESS_BIASED],
+        default=Typology.NONE,
+    )
     return tuple(quadrants), tuple(typologies)
 
 
@@ -357,10 +358,11 @@ def top_k(scores: RegionScores, k: int, key: str = "v_score"):
         "attractiveness": scores.attractiveness,
         "v_score": scores.v_scores,
     }[key]
-    order = sorted(
-        zip(scores.region_ids, values), key=lambda pair: (-pair[1], pair[0])
-    )
-    return [(rid, float(value)) for rid, value in order[:k]]
+    # an object array compares ids as Python strings; numpy's fixed-width
+    # strings would drop trailing NULs and tie ids that differ only there
+    ids = np.array(scores.region_ids, dtype=object)
+    order = np.lexsort((ids, -values))[:k]
+    return [(scores.region_ids[j], float(values[j])) for j in order]
 
 
 def factor_contributions(

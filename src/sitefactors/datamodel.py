@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as spstats
 
 from .errors import (
     DegenerateDataError,
@@ -123,7 +122,13 @@ class StandardizedMatrix:
 
 
 def _parse_cell(text: str) -> float | None:
-    """A cell parses to a finite float or counts as missing."""
+    """A cell parses to a finite float or counts as missing.
+
+    `float` also reads digit-group underscores (`3_5` as 35); the grammar
+    has no thousands separators, so such a cell counts as missing.
+    """
+    if "_" in text:
+        return None
     try:
         value = float(text)
     except (TypeError, ValueError):
@@ -136,12 +141,13 @@ def load_table(path, schema: IngestionConfig = IngestionConfig()) -> AttributeTa
 
     Leading lines starting with `#` are treated as comments (the synthetic
     data generator documents its planted structure this way). The first data
-    row must be the header `region_id,<attr>,...`.
+    row must be the header `region_id,<attr>,...`. A leading UTF-8 byte-order
+    mark, as spreadsheet exports write, is skipped.
     """
     path = Path(path)
     try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        raw = path.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
     rows = [
@@ -236,43 +242,40 @@ def describe(table: AttributeTable) -> DescriptiveStats:
     """Per-attribute moments.
 
     Skewness is the adjusted Fisher-Pearson estimator and kurtosis the
-    bias-adjusted excess form, so normal samples trend toward 0 for both.
-    Constant attributes get NaN for both with a warning; the small-sample
-    floors (3 observations for skewness, 4 for kurtosis) are handled the
-    same way.
+    bias-adjusted excess form (Joanes & Gill 1998, G1 and G2), so normal
+    samples trend toward 0 for both. Attributes that are constant to within
+    rounding (`m2 <= (eps * mean)**2`) get NaN for both with a warning; the
+    small-sample floor of 4 observations for kurtosis is handled the same
+    way (a table always has 3 or more regions).
     """
     values = table.values
-    n_regions = table.n_regions
-    count = np.full(table.n_attributes, n_regions, dtype=int)
+    n = table.n_regions
     mean = values.mean(axis=1)
-    std = values.std(axis=1, ddof=1)
-    skew = np.empty(table.n_attributes)
-    kurt = np.empty(table.n_attributes)
+    centred = values - mean[:, None]
+    squared = centred**2
+    m2 = squared.mean(axis=1)
+    m3 = (squared * centred).mean(axis=1)
+    m4 = (squared**2).mean(axis=1)
+    constant = m2 <= (np.finfo(float).eps * mean) ** 2
+    kurt_scale = 1.0 / (n - 2) / (n - 3) if n >= 4 else np.nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        skew = ((n - 1.0) * n) ** 0.5 / (n - 2.0) * m3 / m2**1.5
+        kurt = kurt_scale * ((n**2 - 1.0) * m4 / m2**2.0 - 3 * (n - 1) ** 2.0)
+    skew[constant] = np.nan
+    kurt[constant] = np.nan
     warnings: list[str] = []
-    for i, name in enumerate(table.attribute_names):
-        row = values[i]
-        if std[i] == 0.0:
-            skew[i] = np.nan
-            kurt[i] = np.nan
+    for name, flat in zip(table.attribute_names, constant):
+        if flat:
             warnings.append(
                 f"moment: attribute {name!r} is constant; skewness/kurtosis undefined"
             )
-            continue
-        if n_regions >= 3:
-            skew[i] = spstats.skew(row, bias=False)
-        else:
-            skew[i] = np.nan
-            warnings.append(f"moment: attribute {name!r} needs >=3 regions for skewness")
-        if n_regions >= 4:
-            kurt[i] = spstats.kurtosis(row, fisher=True, bias=False)
-        else:
-            kurt[i] = np.nan
+        elif n < 4:
             warnings.append(f"moment: attribute {name!r} needs >=4 regions for kurtosis")
     return DescriptiveStats(
         attribute_names=table.attribute_names,
-        count=count,
+        count=np.full(table.n_attributes, n, dtype=int),
         mean=mean,
-        std=std,
+        std=values.std(axis=1, ddof=1),
         min=values.min(axis=1),
         median=np.median(values, axis=1),
         max=values.max(axis=1),

@@ -17,6 +17,7 @@ from .datamodel import StandardizedMatrix
 from .errors import (
     DimensionMismatchError,
     NoFactorRetainedError,
+    SchemaError,
     SingularCorrelationError,
 )
 
@@ -33,10 +34,18 @@ class EngineConfig:
     varimax_max_sweeps: int = 100
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not self.epsilon > 0:
+            raise SchemaError("epsilon must be positive")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+            raise SchemaError("max_iterations must be at least 1")
+        # at or below 0 the rule keeps factors of non-positive eigenvalue,
+        # whose zero loading columns make the scoring system singular
+        if not self.kaiser_threshold > 0:
+            raise SchemaError(
+                f"kaiser_threshold must be positive, got {self.kaiser_threshold}"
+            )
+        if self.varimax_max_sweeps < 1:
+            raise SchemaError("varimax_max_sweeps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -476,6 +485,13 @@ def fit_factor_model(
         tolerance=config.varimax_tolerance,
         max_sweeps=config.varimax_max_sweeps,
     )
+    rotation_warnings = ()
+    if not rotated.converged:
+        history = rotated.criterion_history
+        rotation_warnings = (
+            f"non_convergence: varimax sweep cap {config.varimax_max_sweeps} "
+            f"reached (last criterion change {history[-1] - history[-2]:.3e})",
+        )
     weights, ridge_warnings = scoring_weights(corr, rotated.loadings, config)
     model = replace(
         model,
@@ -483,6 +499,6 @@ def fit_factor_model(
         rotated_loadings=rotated.loadings,
         rotation=rotated.rotation,
         scoring_weights=weights,
-        warnings=model.warnings + ridge_warnings,
+        warnings=model.warnings + rotation_warnings + ridge_warnings,
     )
     return sign_canonicalize(model)

@@ -251,6 +251,39 @@ def median_quadrants(suit, attr):
     return labels
 
 
+def average_rank_fractions(values):
+    """Average 0-based rank of each value over n - 1; a lone value sits at 0.5."""
+    n = len(values)
+    if n == 1:
+        return [0.5]
+    return [
+        (sum(v < x for v in values) + (sum(v == x for v in values) - 1) / 2) / (n - 1)
+        for x in values
+    ]
+
+
+def typologies(suit, attr, balance_band, bias_band):
+    """High-high typologies from the rank-fraction gap; other quadrants get None."""
+    labels = []
+    for quadrant, s, a in zip(
+        median_quadrants(suit, attr),
+        average_rank_fractions(suit),
+        average_rank_fractions(attr),
+    ):
+        gap = s - a
+        if quadrant != "BothHigh":
+            labels.append("None")
+        elif abs(gap) <= balance_band:
+            labels.append("Balanced")
+        elif gap > bias_band:
+            labels.append("SuitabilityBiased")
+        elif -gap > bias_band:
+            labels.append("AttractivenessBiased")
+        else:
+            labels.append("None")
+    return labels
+
+
 def top_k(region_ids, values, k):
     """Descending by value, ties by region id."""
     order = sorted(zip(region_ids, values), key=lambda t: (-t[1], t[0]))

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import expected_small4x6 as frozen
+import sitefactors
 from sitefactors.cli import main
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "small4x6.csv")
@@ -218,6 +222,15 @@ class TestSweep:
             header, rows = read_rows(path)
             assert header == ["rank", "region_id", "v_score"]
             assert len(rows) == 6
+            alpha = float(label)
+            expected = sorted(
+                (
+                    alpha * s + (1 - alpha) * a
+                    for s, a in zip(frozen.SUITABILITY, frozen.ATTRACTIVENESS)
+                ),
+                reverse=True,
+            )
+            assert [row[2] for row in rows] == [f"{v:.6f}" for v in expected]
 
     def test_single_region_counts_stay_binary(self, tmp_path, definition_path):
         # single data region is below the datamodel floor, so approximate with
@@ -337,6 +350,54 @@ class TestConfigPrecedence:
         ])
         assert code == 2
         assert "epsilon" in capsys.readouterr().err
+
+
+class TestErrorContract:
+    """Rejected settings and unwritable outputs end in one error line, no traceback."""
+
+    def assert_one_error(self, capsys, code, expected_code):
+        err = capsys.readouterr().err
+        assert code == expected_code
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("command", ["score", "sweep"])
+    def test_band_order_exits_2(self, tmp_path, capsys, definition_path, command):
+        out = tmp_path / "out"
+        code = main([
+            command, "--input", FIXTURE, "--out", str(out),
+            "--composite.definition", definition_path,
+            "--composite.balance_band", "0.9", "--composite.bias_band", "0.1",
+        ])
+        err = self.assert_one_error(capsys, code, 2)
+        assert "balance_band" in err
+        assert not out.exists()
+
+    def test_nonpositive_kaiser_threshold_exits_2(self, tmp_path, capsys):
+        code = main([
+            "fit", "--input", FIXTURE, "--out", str(tmp_path),
+            "--engine.kaiser_threshold", "-5",
+        ])
+        err = self.assert_one_error(capsys, code, 2)
+        assert "kaiser_threshold" in err
+
+    def test_out_under_regular_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        code = main(["fit", "--input", FIXTURE, "--out", str(blocker / "out")])
+        err = self.assert_one_error(capsys, code, 2)
+        assert "NotADirectoryError" in err
+
+
+def test_cli_import_leaves_scipy_out():
+    package_root = str(Path(sitefactors.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=package_root)
+    check = "import sys, sitefactors.cli; sys.exit('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", check], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestProvenance:

@@ -244,6 +244,27 @@ class TestQuadrants:
         assert quadrants[4] == Quadrant.BOTH_HIGH
         assert typologies[4] == Typology.SUITABILITY_BIASED
 
+    def test_gap_at_bias_band_stays_unlabeled(self):
+        # rank fractions: suitability (0, 0.5, 1), attractiveness (0, 1, 0.5);
+        # regions 1 and 2 are high-high with gaps of exactly -0.5 and +0.5
+        composites = CompositeScores(
+            region_ids=("r0", "r1", "r2"),
+            suitability=np.array([0.0, 1.0, 2.0]),
+            attractiveness=np.array([0.0, 2.0, 1.0]),
+        )
+        quadrants, typologies = quadrant_classify(
+            composites, TypologyConfig(balance_band=0.1, bias_band=0.5)
+        )
+        assert quadrants[1:] == (Quadrant.BOTH_HIGH, Quadrant.BOTH_HIGH)
+        assert typologies[1:] == (Typology.NONE, Typology.NONE)
+        quadrants, typologies = quadrant_classify(
+            composites, TypologyConfig(balance_band=0.1, bias_band=0.4)
+        )
+        assert typologies[1:] == (
+            Typology.ATTRACTIVENESS_BIASED,
+            Typology.SUITABILITY_BIASED,
+        )
+
     def test_fixture_quadrants(self, fixture_scores, fixture_definition):
         composites = composite_scores(fixture_scores, fixture_definition)
         quadrants, _ = quadrant_classify(composites)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -125,6 +127,24 @@ class TestLoadTable:
         with pytest.raises(SchemaError):
             IngestionConfig(missing_policy="ignore")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + BASE_CSV.encode("utf-8"))
+        table = load_table(path)
+        assert table.attribute_names == ("a", "b", "c")
+        assert table.n_regions == 5
+
+    def test_digit_group_underscore_is_not_a_number(self, tmp_path):
+        path = write_csv(tmp_path / "groups.csv", BASE_CSV.replace("5.5", "5_5"))
+        with pytest.raises(SchemaError, match="'5_5'"):
+            load_table(path)
+
+    def test_undecodable_bytes_raise_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(BASE_CSV.replace("r1", "r\xe9").encode("latin-1"))
+        with pytest.raises(ParseError, match="cannot read"):
+            load_table(path)
+
 
 class TestDescribe:
     def test_constant_row_flags_nan_moments(self):
@@ -139,6 +159,25 @@ class TestDescribe:
         assert np.isnan(stats.skewness[0])
         assert np.isnan(stats.kurtosis[0])
         assert any("flat" in w for w in stats.warnings)
+        assert np.isfinite(stats.skewness[1])
+
+    def test_nearly_constant_row_warns_once_without_runtime_warnings(self):
+        base = 1e8
+        near = [base, np.nextafter(base, np.inf), np.nextafter(base, 0.0), base]
+        table = AttributeTable(
+            attribute_names=("near", "other"),
+            region_ids=("r1", "r2", "r3", "r4"),
+            values=np.array([near, [1.0, 2.0, 4.0, 8.0]]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = describe(table)
+        assert stats.std[0] > 0.0
+        assert np.isnan(stats.skewness[0])
+        assert np.isnan(stats.kurtosis[0])
+        assert [w for w in stats.warnings if "'near'" in w] == [
+            "moment: attribute 'near' is constant; skewness/kurtosis undefined"
+        ]
         assert np.isfinite(stats.skewness[1])
 
     def test_symmetric_row_has_zero_skewness(self):

@@ -10,6 +10,7 @@ from sitefactors import (
     DimensionMismatchError,
     EngineConfig,
     NoFactorRetainedError,
+    SchemaError,
     SingularCorrelationError,
     StandardizedMatrix,
     SynthConfig,
@@ -407,6 +408,32 @@ class TestFitFactorModel:
         achieved = varimax_criterion(model.rotated_loadings / norms[:, None])
         assert achieved == pytest.approx(frozen.REFINED_CRITERION, abs=1e-8)
         assert achieved == pytest.approx(frozen.GRID_CRITERION, abs=1e-6)
+
+    def test_varimax_sweep_cap_warns(self, matrix):
+        assert fit_factor_model(matrix).warnings == ()
+        model = fit_factor_model(
+            matrix, EngineConfig(varimax_max_sweeps=1, varimax_tolerance=0.0)
+        )
+        assert len(model.warnings) == 1
+        assert model.warnings[0].startswith(
+            "non_convergence: varimax sweep cap 1 reached (last criterion change "
+        )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kaiser_threshold", 0.0),
+            ("kaiser_threshold", -5.0),
+            ("kaiser_threshold", float("nan")),
+            ("varimax_max_sweeps", 0),
+            ("epsilon", 0.0),
+            ("epsilon", float("nan")),
+            ("max_iterations", 0),
+        ],
+    )
+    def test_config_rejects_out_of_range_settings(self, field, value):
+        with pytest.raises(SchemaError, match=field):
+            EngineConfig(**{field: value})
 
     def test_deterministic(self, matrix):
         first = fit_factor_model(matrix)

@@ -1,10 +1,15 @@
 """Property-based invariant checks over randomized instances."""
 
+import warnings
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.testing import assert_allclose
+from scipy import stats as spstats
 
+import oracle
 from sitefactors import (
     AttributeTable,
     CompositeDefinition,
@@ -12,8 +17,10 @@ from sitefactors import (
     FactorAssignment,
     FactorScores,
     SynthConfig,
+    TypologyConfig,
     composite_scores,
     correlation,
+    describe,
     fit_factor_model,
     generate,
     initial_communalities,
@@ -26,6 +33,7 @@ from sitefactors import (
     v_score,
     varimax,
 )
+from sitefactors.composite import CompositeScores, _rank_normalize
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -190,3 +198,87 @@ def test_standardize_is_idempotent(seed):
         )
     )
     assert np.abs(twice.values - once.values).max() < 1e-10
+
+
+# Few distinct values, signed zeros included, so ties are the common case.
+tie_heavy = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0])
+
+
+@SETTINGS
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(2, 4), st.integers(5, 40)),
+        elements=st.floats(-1e3, 1e3, allow_nan=False) | tie_heavy,
+    )
+)
+def test_describe_moments_match_scipy(values):
+    table = AttributeTable(
+        attribute_names=tuple(f"a{i}" for i in range(values.shape[0])),
+        region_ids=tuple(f"r{j}" for j in range(values.shape[1])),
+        values=values,
+    )
+    stats = describe(table)
+    with warnings.catch_warnings():
+        # scipy's precision-loss note on nearly constant rows
+        warnings.simplefilter("ignore", RuntimeWarning)
+        skew = spstats.skew(values, axis=1, bias=False)
+        kurt = spstats.kurtosis(values, axis=1, fisher=True, bias=False)
+    assert_allclose(stats.skewness, skew, rtol=1e-12, atol=0)
+    # scipy adds 3 to the excess kurtosis and takes it off again, which
+    # rounds away up to an ulp of 3 (4.4e-16) from a value near zero
+    assert_allclose(stats.kurtosis, kurt, rtol=1e-12, atol=1e-15)
+
+
+@SETTINGS
+@given(arrays(np.float64, st.integers(1, 60), elements=tie_heavy))
+def test_rank_normalize_matches_rankdata(values):
+    n = len(values)
+    expected = (
+        np.array([0.5])
+        if n == 1
+        else (spstats.rankdata(values, method="average") - 1.0) / (n - 1.0)
+    )
+    assert np.array_equal(_rank_normalize(values), expected)
+
+
+# Round bands hit rank-fraction gaps exactly, so the band edges get tested.
+bands = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0, 1)
+
+
+@SETTINGS
+@given(
+    st.lists(st.tuples(tie_heavy, tie_heavy), min_size=1, max_size=40), bands, bands
+)
+def test_quadrants_and_typologies_match_brute_force(pairs, band_a, band_b):
+    suit, attr = (np.array(column) for column in zip(*pairs))
+    balance, bias = sorted((band_a, band_b))
+    composites = CompositeScores(
+        region_ids=tuple(f"r{j}" for j in range(len(pairs))),
+        suitability=suit,
+        attractiveness=attr,
+    )
+    quadrants, typologies = quadrant_classify(
+        composites, TypologyConfig(balance_band=balance, bias_band=bias)
+    )
+    assert [q.value for q in quadrants] == oracle.median_quadrants(suit, attr)
+    assert [t.value for t in typologies] == oracle.typologies(suit, attr, balance, bias)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(tie_heavy, tie_heavy), min_size=1, max_size=40), st.randoms())
+def test_top_k_matches_brute_force_with_ties(pairs, rnd):
+    ids = [f"r{j:03d}" for j in range(len(pairs))]
+    rnd.shuffle(ids)
+    _, definition = random_composites(0)
+    scores = FactorScores(values=np.array(pairs).T, region_ids=tuple(ids))
+    regions = score_regions(scores, definition, 0.5)
+    k = rnd.randint(1, len(ids))
+    for key, values in (
+        ("suitability", regions.suitability),
+        ("attractiveness", regions.attractiveness),
+        ("v_score", regions.v_scores),
+    ):
+        ranking = top_k(regions, k, key)
+        assert [rid for rid, _ in ranking] == oracle.top_k(ids, values, k)
+        assert [value for _, value in ranking] == sorted(values, reverse=True)[:k]
