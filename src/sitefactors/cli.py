@@ -9,14 +9,12 @@ stderr as a warning.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .composite import (
-    TypologyConfig,
     composite_scores,
     default_definition,
     load_definition,
@@ -26,8 +24,8 @@ from .composite import (
     v_score,
 )
 from .config import KEY_TYPES, RunConfig, load_config_file
-from .datamodel import IngestionConfig, describe, load_table, standardize
-from .engine import EngineConfig, dominant_attributes, factor_scores, fit_factor_model
+from .datamodel import describe, load_table, standardize
+from .engine import dominant_attributes, factor_scores, fit_factor_model
 from .errors import (
     AlphaRangeError,
     DegenerateDataError,
@@ -142,29 +140,12 @@ def _input_path(config: RunConfig) -> Path:
     return Path(path)
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _load(config: RunConfig):
-    table = load_table(
-        _input_path(config),
-        IngestionConfig(missing_policy=config["data.missing_policy"]),
-    )
+    table = load_table(_input_path(config), config.ingestion())
     if table.provenance:
         write_provenance(Path(config["out"]) / "provenance.log", table.provenance)
         _warn(f"missing value handled: {line}" for line in table.provenance)
     return table
-
-
-def _engine_config(config: RunConfig) -> EngineConfig:
-    return EngineConfig(
-        epsilon=config["engine.epsilon"],
-        max_iterations=config["engine.max_iterations"],
-        kaiser_threshold=config["engine.kaiser_threshold"],
-        ridge_fallback=config["engine.ridge_fallback"],
-        varimax_tolerance=config["engine.varimax_tolerance"],
-    )
 
 
 def _definition(config: RunConfig, n_factors: int):
@@ -176,25 +157,18 @@ def _definition(config: RunConfig, n_factors: int):
     return definition
 
 
-def _typology_config(config: RunConfig) -> TypologyConfig:
-    return TypologyConfig(
-        balance_band=config["composite.balance_band"],
-        bias_band=config["composite.bias_band"],
-    )
-
-
 def _fit(config: RunConfig):
     """Shared fit stage: table -> standardized matrix -> canonical model."""
     table = _load(config)
     matrix = standardize(table)
-    model = fit_factor_model(matrix, _engine_config(config))
+    model = fit_factor_model(matrix, config.engine())
     dominant = dominant_attributes(model.rotated_loadings)
     warnings = list(model.warnings) + list(dominant.warnings)
     _warn(warnings)
     return table, matrix, model, dominant, warnings
 
 
-def _manifest_payload(config: RunConfig, model, warnings) -> dict:
+def _write_manifest(out: Path, config: RunConfig, table, model, warnings) -> None:
     # input/out/quiet are environment locations, not computation parameters;
     # the digest pins the input content, so reruns into any directory of the
     # same data and settings produce byte-identical artifacts
@@ -203,15 +177,16 @@ def _manifest_payload(config: RunConfig, model, warnings) -> dict:
         for key, value in config.snapshot().items()
         if key not in ("input", "out", "quiet")
     }
-    return {
+    payload = {
         "config": snapshot,
-        "input_digest": _digest(_input_path(config)),
+        "input_digest": table.digest,
         "tool_version": __version__,
         "converged": model.converged,
         "iterations_used": model.iterations_used,
         "n_factors": model.n_factors,
         "warnings": list(warnings),
     }
+    write_manifest(out / "manifest.json", payload)
 
 
 def cmd_describe(config: RunConfig) -> int:
@@ -229,7 +204,7 @@ def cmd_fit(config: RunConfig) -> int:
     write_loadings_csv(out / "loadings.csv", model, dominant)
     write_eigenvalues_csv(out / "eigenvalues.csv", model)
     write_weights_csv(out / "weights.csv", model)
-    write_manifest(out / "manifest.json", _manifest_payload(config, model, warnings))
+    _write_manifest(out, config, table, model, warnings)
     _say(
         config,
         f"N={table.n_attributes} R={table.n_regions} M={model.n_factors} "
@@ -239,12 +214,11 @@ def cmd_fit(config: RunConfig) -> int:
 
 
 def cmd_score(config: RunConfig) -> int:
-    typology = _typology_config(config)
-    _, matrix, model, _, warnings = _fit(config)
+    table, matrix, model, _, warnings = _fit(config)
     definition = _definition(config, model.n_factors)
     scores = factor_scores(model.scoring_weights, matrix)
     alpha = config["score.alpha"]
-    regions = score_regions(scores, definition, alpha, typology)
+    regions = score_regions(scores, definition, alpha, config.typology())
     out = Path(config["out"])
     write_scores_csv(out / "scores.csv", regions)
     k = min(config["score.top_k"], regions.n_regions)
@@ -256,14 +230,13 @@ def cmd_score(config: RunConfig) -> int:
         top_k(regions, k, "attractiveness"),
         "attractiveness",
     )
-    write_manifest(out / "manifest.json", _manifest_payload(config, model, warnings))
+    _write_manifest(out, config, table, model, warnings)
     _say(config, f"scored {regions.n_regions} regions at alpha={alpha:g}")
     return 0
 
 
 def cmd_sweep(config: RunConfig) -> int:
-    typology = _typology_config(config)
-    _, matrix, model, _, warnings = _fit(config)
+    table, matrix, model, _, warnings = _fit(config)
     definition = _definition(config, model.n_factors)
     scores = factor_scores(model.scoring_weights, matrix)
     composites = composite_scores(scores, definition)
@@ -273,14 +246,14 @@ def cmd_sweep(config: RunConfig) -> int:
     write_sweep_long_csv(out / "sweep_long.csv", grid)
     k = min(config["sweep.top_k"], len(composites.region_ids))
     # one score table serves every alpha; only its v-scores depend on alpha
-    regions = score_regions(scores, definition, grid.alphas[0], typology)
+    regions = score_regions(scores, definition, grid.alphas[0], config.typology())
     for alpha in grid.alphas:
         v = v_score(composites.suitability, composites.attractiveness, alpha)
         ranking = top_k(replace(regions, alpha=alpha, v_scores=v), k, "v_score")
         write_top_csv(
             out / f"top_regions_alpha_{grid_label(alpha)}.csv", ranking, "v_score"
         )
-    write_manifest(out / "manifest.json", _manifest_payload(config, model, warnings))
+    _write_manifest(out, config, table, model, warnings)
     _say(
         config,
         f"sweep grid {len(grid.thetas)}x{len(grid.alphas)} over "

@@ -11,6 +11,9 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .composite import TypologyConfig
+from .datamodel import IngestionConfig
+from .engine import EngineConfig
 from .errors import AlphaRangeError, SchemaError
 
 
@@ -134,15 +137,29 @@ class RunConfig:
     def __getitem__(self, key):
         return self.values[key]
 
+    def ingestion(self) -> IngestionConfig:
+        return IngestionConfig(missing_policy=self["data.missing_policy"])
+
+    def engine(self) -> EngineConfig:
+        return EngineConfig(
+            epsilon=self["engine.epsilon"],
+            max_iterations=self["engine.max_iterations"],
+            kaiser_threshold=self["engine.kaiser_threshold"],
+            ridge_fallback=self["engine.ridge_fallback"],
+            varimax_tolerance=self["engine.varimax_tolerance"],
+        )
+
+    def typology(self) -> TypologyConfig:
+        return TypologyConfig(
+            balance_band=self["composite.balance_band"],
+            bias_band=self["composite.bias_band"],
+        )
+
     def validate(self) -> None:
-        if self["engine.epsilon"] <= 0:
-            raise SchemaError("engine.epsilon must be positive")
-        if self["engine.max_iterations"] < 1:
-            raise SchemaError("engine.max_iterations must be at least 1")
-        if self["data.missing_policy"] not in ("reject", "drop-region", "impute-median"):
-            raise SchemaError(
-                f"unknown data.missing_policy {self['data.missing_policy']!r}"
-            )
+        # the settings classes check their own keys, for every subcommand
+        self.ingestion()
+        self.engine()
+        self.typology()
         start = self["sweep.alpha_start"]
         stop = self["sweep.alpha_stop"]
         step = self["sweep.alpha_step"]

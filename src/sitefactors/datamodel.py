@@ -9,6 +9,7 @@ stage works in.
 from __future__ import annotations
 
 import csv
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,6 +54,7 @@ class AttributeTable:
     values: np.ndarray
     units: tuple[str, ...] | None = None
     provenance: tuple[str, ...] = ()
+    digest: str | None = None  # SHA-256 of the file it was read from
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -136,41 +138,54 @@ def _parse_cell(text: str) -> float | None:
     return value if np.isfinite(value) else None
 
 
-def load_table(path, schema: IngestionConfig = IngestionConfig()) -> AttributeTable:
-    """Read and validate a region-by-attribute CSV.
-
-    Leading lines starting with `#` are treated as comments (the synthetic
-    data generator documents its planted structure this way). The first data
-    row must be the header `region_id,<attr>,...`. A leading UTF-8 byte-order
-    mark, as spreadsheet exports write, is skipped.
-    """
-    path = Path(path)
+def _read(path: Path) -> tuple[str, str]:
+    """The decoded text of the file and the SHA-256 of its bytes."""
     try:
-        raw = path.read_text(encoding="utf-8-sig")
+        data = path.read_bytes()
+        text = data.decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    return text, hashlib.sha256(data).hexdigest()
 
-    rows = [
-        row
-        for row in csv.reader(raw.splitlines())
-        if row and not row[0].lstrip().startswith("#")
-    ]
-    if not rows:
-        raise ParseError(f"{path}: no rows found")
-    header = [cell.strip() for cell in rows[0]]
-    if header[0] != "region_id":
-        raise SchemaError(f"{path}: first column must be 'region_id', got {header[0]!r}")
-    attribute_names = tuple(header[1:])
-    if not attribute_names:
-        raise ParseError(f"{path}: no attribute columns")
-    if len(set(attribute_names)) != len(attribute_names):
-        dupes = sorted({a for a in attribute_names if attribute_names.count(a) > 1})
-        raise SchemaError(f"{path}: duplicate attribute columns {dupes}")
 
+def _parse_clean(lines: list[str], n: int):
+    """Region ids and the N x R matrix of unquoted body lines, by numpy's C parser.
+
+    Returns None unless every row has N+1 fields, a non-empty unique region
+    id and N finite values. The parser reads a subset of what `float` reads
+    (no `3_5`, no Arabic-Indic digits), correctly rounded like it, so an
+    accepted matrix is bit-equal to the per-cell parse.
+    """
+    body = [line for line in lines if line and not line.lstrip().startswith("#")]
+    if not body or any(line.count(",") != n for line in body):
+        return None
+    region_ids = [line.partition(",")[0].strip() for line in body]
+    if not all(region_ids) or len(set(region_ids)) != len(region_ids):
+        return None
+    try:
+        values = np.loadtxt(
+            body,
+            delimiter=",",
+            comments=None,
+            quotechar=None,
+            usecols=range(1, n + 1),
+            ndmin=2,
+        )
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    # C order as the per-cell path builds it: row means of a transposed
+    # view sum in another order and differ in the last bits
+    return region_ids, np.ascontiguousarray(values.T)
+
+
+def _parse_cells(path, rows, attribute_names, schema: IngestionConfig):
+    """Region ids, N x R matrix and provenance of (line, csv row) pairs, cell by cell."""
     n = len(attribute_names)
     region_ids: list[str] = []
     cells: list[list[float | None]] = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows:
         if len(row) != n + 1:
             raise ParseError(
                 f"{path}: line {lineno} has {len(row)} fields, expected {n + 1}"
@@ -224,6 +239,51 @@ def load_table(path, schema: IngestionConfig = IngestionConfig()) -> AttributeTa
             for j in np.flatnonzero(missing):
                 provenance.append(f"{region_ids[j]},{name},impute-median")
             row[missing] = fill
+    return region_ids, matrix, provenance
+
+
+def load_table(path, schema: IngestionConfig = IngestionConfig()) -> AttributeTable:
+    """Read and validate a region-by-attribute CSV.
+
+    Leading lines starting with `#` are treated as comments (the synthetic
+    data generator documents its planted structure this way). The first data
+    row must be the header `region_id,<attr>,...`. A leading UTF-8 byte-order
+    mark, as spreadsheet exports write, is skipped. Errors name the line of
+    the file. The table carries the SHA-256 of the file's bytes.
+
+    A file without a `"` whose every body cell parses is read by numpy's C
+    parser; any other file, and so every error and every missing-value
+    intervention, goes through `csv` and `_parse_cell` cell by cell.
+    """
+    path = Path(path)
+    text, digest = _read(path)
+    lines = text.splitlines()
+    reader = csv.reader(lines)
+    rows = (
+        (reader.line_num, row)
+        for row in reader
+        if row and not row[0].lstrip().startswith("#")
+    )
+    header_line, header = next(rows, (0, None))
+    if header is None:
+        raise ParseError(f"{path}: no rows found")
+    header = [cell.strip() for cell in header]
+    if header[0] != "region_id":
+        raise SchemaError(f"{path}: first column must be 'region_id', got {header[0]!r}")
+    attribute_names = tuple(header[1:])
+    if not attribute_names:
+        raise ParseError(f"{path}: no attribute columns")
+    if len(set(attribute_names)) != len(attribute_names):
+        dupes = sorted({a for a in attribute_names if attribute_names.count(a) > 1})
+        raise SchemaError(f"{path}: duplicate attribute columns {dupes}")
+
+    n = len(attribute_names)
+    clean = None if '"' in text else _parse_clean(lines[header_line:], n)
+    if clean is None:
+        region_ids, matrix, provenance = _parse_cells(path, rows, attribute_names, schema)
+    else:
+        region_ids, matrix = clean
+        provenance = []
 
     if len(region_ids) < n + 1:
         raise DegenerateDataError(
@@ -235,6 +295,7 @@ def load_table(path, schema: IngestionConfig = IngestionConfig()) -> AttributeTa
         region_ids=tuple(region_ids),
         values=matrix,
         provenance=tuple(provenance),
+        digest=digest,
     )
 
 

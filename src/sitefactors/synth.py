@@ -14,7 +14,6 @@ file look like raw survey data; standardization removes it again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -115,7 +114,7 @@ def write_synth_csv(path, config: SynthConfig = SynthConfig()) -> AttributeTable
         f"factor_{m + 1}: attributes {bounds[m] + 1}-{bounds[m + 1]}"
         for m in range(config.n_factors)
     )
-    lines = [
+    header = [
         "# synthetic region-by-attribute table (deterministic per seed)",
         f"# seed={config.seed} regions={config.n_regions} "
         f"attributes={config.n_attributes} factors={config.n_factors} "
@@ -123,8 +122,11 @@ def write_synth_csv(path, config: SynthConfig = SynthConfig()) -> AttributeTable
         f"# planted blocks: {block_map}",
         "region_id," + ",".join(table.attribute_names),
     ]
-    for j, rid in enumerate(table.region_ids):
-        cells = ",".join(f"{table.values[i, j]:.6f}" for i in range(table.n_attributes))
-        lines.append(f"{rid},{cells}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    row = "%s," + ",".join(["%.6f"] * table.n_attributes) + "\n"
+    by_region = table.values.T.copy()  # rows of a copy list faster than strided rows
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(header) + "\n")
+        handle.writelines(
+            row % (rid, *cells.tolist()) for rid, cells in zip(table.region_ids, by_region)
+        )
     return table

@@ -374,6 +374,16 @@ class TestErrorContract:
         assert "balance_band" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, key", [("describe", "engine.epsilon"), ("fit", "composite.bias_band")]
+    )
+    def test_nan_setting_exits_2_in_any_subcommand(self, tmp_path, capsys, command, key):
+        out = tmp_path / "out"
+        code = main([command, "--input", FIXTURE, "--out", str(out), f"--{key}", "nan"])
+        err = self.assert_one_error(capsys, code, 2)
+        assert key.partition(".")[2] in err
+        assert not out.exists()
+
     def test_nonpositive_kaiser_threshold_exits_2(self, tmp_path, capsys):
         code = main([
             "fit", "--input", FIXTURE, "--out", str(tmp_path),

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -67,6 +68,33 @@ class TestLoadTable:
         )
         with pytest.raises(ParseError, match="line 3"):
             load_table(path)
+
+    def test_errors_name_the_line_of_the_file(self, tmp_path):
+        path = write_csv(
+            tmp_path / "ragged.csv", "# c1\n# c2\n\nregion_id,a,b\nr1,1,2\nr2,3\n"
+        )
+        with pytest.raises(ParseError, match="line 6 has 2 fields"):
+            load_table(path)
+        path = write_csv(
+            tmp_path / "noid.csv",
+            '# c1\n\nregion_id,a,b\n# c2\nr1,1,2\n"",3,4\n',
+        )
+        with pytest.raises(SchemaError, match="line 6 has an empty region_id"):
+            load_table(path)
+
+    def test_digest_is_of_the_bytes_read(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        data = b"\xef\xbb\xbf" + BASE_CSV.encode("utf-8")
+        path.write_bytes(data)
+        assert load_table(path).digest == hashlib.sha256(data).hexdigest()
+
+    def test_quoted_input_reads_like_unquoted(self, tmp_path):
+        header, *body = BASE_CSV.splitlines()
+        text = "\n".join([header] + ['"' + line.replace(",", '",', 1) for line in body])
+        plain = load_table(write_csv(tmp_path / "plain.csv", BASE_CSV))
+        quoted = load_table(write_csv(tmp_path / "quoted.csv", text + "\n"))
+        assert quoted.region_ids == plain.region_ids
+        assert quoted.values.tobytes() == plain.values.tobytes()
 
     def test_wrong_leading_header(self, tmp_path):
         path = write_csv(tmp_path / "head.csv", "id,a,b\nr1,1,2\n")

@@ -1,6 +1,9 @@
 """Property-based invariant checks over randomized instances."""
 
+import hashlib
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -16,6 +19,8 @@ from sitefactors import (
     Dimension,
     FactorAssignment,
     FactorScores,
+    IngestionConfig,
+    SiteFactorsError,
     SynthConfig,
     TypologyConfig,
     composite_scores,
@@ -24,6 +29,7 @@ from sitefactors import (
     fit_factor_model,
     generate,
     initial_communalities,
+    load_table,
     paf_iterate,
     quadrant_classify,
     score_regions,
@@ -34,6 +40,7 @@ from sitefactors import (
     varimax,
 )
 from sitefactors.composite import CompositeScores, _rank_normalize
+from sitefactors.datamodel import _parse_cell
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -282,3 +289,110 @@ def test_top_k_matches_brute_force_with_ties(pairs, rnd):
         ranking = top_k(regions, k, key)
         assert [rid for rid, _ in ranking] == oracle.top_k(ids, values, k)
         assert [value for _, value in ranking] == sorted(values, reverse=True)[:k]
+
+
+# Cells the number grammar reads, rejects or that only `float` reads (Arabic-
+# Indic digits); `_parse_cell` decides which count as missing.
+EDGE_CELLS = [
+    " 1.5 ", "\t2", "+3", "-0", "-0.0", ".5", "5.", "1e5", "1E-3", "-2.5e+2",
+    "1e-400", "4.9e-324", "1.7976931348623157e308", "3_5", "nan", "-nan", "inf",
+    "-Infinity", "1e400", "0x10", "٣", "١٢.٥", "", " ", "abc",
+]
+ordinary_cells = st.floats(allow_nan=False, allow_infinity=False).map(repr) | (
+    st.floats(-1e6, 1e6).map(lambda x: f"{x:.6f}")
+)
+
+
+def render_csv(lines, bom, quote_ids):
+    rendered = [
+        ",".join([f'"{line[0]}"' if quote_ids else line[0], *line[1]])
+        if isinstance(line, tuple)
+        else line
+        for line in lines
+    ]
+    return ("\ufeff" if bom else "") + "\n".join(rendered) + "\n"
+
+
+@st.composite
+def csv_tables(draw):
+    """Lines of a CSV (a body row is a (region id, cells) pair), BOM and quoting.
+
+    A clean table of ordinary floats gets up to three defects: an edge cell, an
+    empty, padded or repeated region id, or a row one field short or long.
+    """
+    n = draw(st.sampled_from([1, 2, 3, 3, 4]))
+    n_rows = max(0, n + 1 + draw(st.integers(-1, 3)))
+    rows = [
+        [f"r{j}", draw(st.lists(ordinary_cells, min_size=n, max_size=n))]
+        for j in range(n_rows)
+    ]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 1, 2, 3])) if rows else 0):
+        row = rows[draw(st.integers(0, n_rows - 1))]
+        cells = row[1]
+        defect = draw(st.sampled_from(["cell", "cell", "id", "width"]))
+        if defect == "cell":
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(EDGE_CELLS))
+        elif defect == "id":
+            row[0] = draw(st.sampled_from(["", " r1 ", "r0"]))
+        elif len(cells) > 1 and draw(st.booleans()):
+            cells.pop()
+        else:
+            cells.append(draw(ordinary_cells))
+    lines = ["region_id," + ",".join(f"a{i}" for i in range(n))]
+    lines.extend((rid, cells) for rid, cells in rows)
+    for _ in range(draw(st.integers(0, 3))):
+        filler = draw(st.sampled_from(["", "# note", "  # indented note"]))
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    return lines, draw(st.booleans()), draw(st.sampled_from([False, False, True]))
+
+
+def load_outcome(path, policy):
+    try:
+        table = load_table(path, IngestionConfig(missing_policy=policy))
+    except SiteFactorsError as exc:
+        return type(exc), str(exc)
+    return table.region_ids, table.values.view(np.uint64).tobytes(), table.provenance
+
+
+def load_outcomes(path, lines, bom=False, quote_ids=False):
+    """`load_outcome` under each policy, and the same for the quoted twin file.
+
+    Quoted region ids send the same table through the per-cell path.
+    """
+    outcomes = []
+    for quote in (quote_ids, True):
+        path.write_text(render_csv(lines, bom, quote), encoding="utf-8")
+        outcomes.append(
+            [load_outcome(path, p) for p in ("reject", "drop-region", "impute-median")]
+        )
+    return outcomes
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_tables())
+def test_load_table_matches_the_per_cell_parse(case):
+    lines, bom, quote_ids = case
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "table.csv"
+        got, per_cell = load_outcomes(path, lines, bom, quote_ids)
+        assert got == per_cell
+        text = render_csv(lines, bom, quote_ids)
+        path.write_text(text, encoding="utf-8")
+        try:
+            table = load_table(path)
+        except SiteFactorsError:
+            return
+    rows = [line[1] for line in lines if isinstance(line, tuple)]
+    expected = np.array([[_parse_cell(cell) for cell in cells] for cells in rows]).T
+    assert table.values.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+    assert table.digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_each_edge_cell_and_bad_id_reads_like_the_per_cell_path(tmp_path):
+    rows = [("r0", ["1.0", "2.0"]), ("r1", ["2.5", "0.5"]), ("r2", ["4.0", "1.0"])]
+    variants = [[("r3", [cell, "7.0"])] for cell in EDGE_CELLS]
+    variants += [[(rid, ["3.0", "7.0"])] for rid in ("", " ", "r0", " r1 ")]
+    for extra in variants:
+        lines = ["# generated", "region_id,a,b", *rows, *extra]
+        got, per_cell = load_outcomes(tmp_path / "table.csv", lines)
+        assert got == per_cell, extra
