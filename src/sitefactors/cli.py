@@ -53,7 +53,7 @@ from .reports import (
     write_top_csv,
     write_weights_csv,
 )
-from .synth import SynthConfig, write_synth_csv
+from .synth import write_synth_csv
 
 EXIT_CODES = {
     ParseError: 2,
@@ -151,7 +151,6 @@ def _load(config: RunConfig):
 def _definition(config: RunConfig, n_factors: int):
     path = config["composite.definition"]
     definition = load_definition(path) if path else default_definition(n_factors)
-    definition.validate_for(n_factors)
     if config["composite.binary"]:
         definition = definition.as_binary()
     return definition
@@ -263,18 +262,8 @@ def cmd_sweep(config: RunConfig) -> int:
 
 
 def cmd_synth(config: RunConfig) -> int:
-    out = Path(config["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "synthetic.csv"
-    synth_config = SynthConfig(
-        seed=config["synth.seed"],
-        n_attributes=config["synth.attributes"],
-        n_regions=config["synth.regions"],
-        n_factors=config["synth.factors"],
-        loading=config["synth.loading"],
-        noise_std=config["synth.noise_std"],
-    )
-    table = write_synth_csv(path, synth_config)
+    path = Path(config["out"]) / "synthetic.csv"
+    table = write_synth_csv(path, config.synth())
     _say(
         config,
         f"wrote {path} ({table.n_attributes} attributes x {table.n_regions} regions)",

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import FactorScores
+from .engine import FactorScores, factor_labels
 from .errors import (
     AlphaRangeError,
     IncompleteDefinitionError,
@@ -87,12 +87,24 @@ class CompositeDefinition:
             ),
         )
 
-    def validate_for(self, n_factors: int) -> None:
-        if self.n_factors != n_factors:
+    def for_factors(self, n_factors: int) -> "CompositeDefinition":
+        """The assignments of `factor_1`..`factor_<n>`, in model order.
+
+        Entries are matched by label, so their order in a definition file
+        does not matter; every retained factor must be named exactly once.
+        """
+        labels = factor_labels(n_factors)
+        missing = [label for label in labels if label not in self.factor_labels]
+        unknown = [label for label in self.factor_labels if label not in labels]
+        if missing or unknown:
             raise IncompleteDefinitionError(
-                f"composite definition covers {self.n_factors} factors, "
-                f"model retained {n_factors}"
+                f"composite definition must name the {n_factors} retained factors "
+                f"once each: missing {missing}, unknown {unknown}"
             )
+        by_label = dict(zip(self.factor_labels, self.assignments))
+        return CompositeDefinition(
+            factor_labels=labels, assignments=tuple(by_label[label] for label in labels)
+        )
 
 
 # Shipped default for six retained factors: the second and fourth factors
@@ -115,7 +127,7 @@ def default_definition(n_factors: int) -> CompositeDefinition:
             "provide one via composite.definition"
         )
     return CompositeDefinition(
-        factor_labels=tuple(f"factor_{m + 1}" for m in range(n_factors)),
+        factor_labels=factor_labels(n_factors),
         assignments=tuple(
             FactorAssignment(dimension=dim, sign=sign, note="built-in default")
             for dim, sign in _DEFAULT_SIX
@@ -207,7 +219,7 @@ def composite_scores(
     With every sign at +1 this is the plain binary split of factors into the
     two dimensions.
     """
-    definition.validate_for(scores.n_factors)
+    definition = definition.for_factors(scores.n_factors)
     signed = definition.signs[:, None] * scores.values
     suit_idx = definition.indices(Dimension.SUITABILITY)
     attr_idx = definition.indices(Dimension.ATTRACTIVENESS)
@@ -373,7 +385,7 @@ def factor_contributions(
     Each row sums to 100; a region whose factor scores are all zero has no
     meaningful breakdown and raises.
     """
-    definition.validate_for(scores.n_factors)
+    definition = definition.for_factors(scores.n_factors)
     index = {rid: j for j, rid in enumerate(scores.region_ids)}
     missing = [rid for rid in regions if rid not in index]
     if missing:

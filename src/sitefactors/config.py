@@ -15,6 +15,7 @@ from .composite import TypologyConfig
 from .datamodel import IngestionConfig
 from .engine import EngineConfig
 from .errors import AlphaRangeError, SchemaError
+from .synth import SynthConfig
 
 
 def _parse_bool(text):
@@ -155,11 +156,22 @@ class RunConfig:
             bias_band=self["composite.bias_band"],
         )
 
+    def synth(self) -> SynthConfig:
+        return SynthConfig(
+            seed=self["synth.seed"],
+            n_attributes=self["synth.attributes"],
+            n_regions=self["synth.regions"],
+            n_factors=self["synth.factors"],
+            loading=self["synth.loading"],
+            noise_std=self["synth.noise_std"],
+        )
+
     def validate(self) -> None:
         # the settings classes check their own keys, for every subcommand
         self.ingestion()
         self.engine()
         self.typology()
+        self.synth()
         start = self["sweep.alpha_start"]
         stop = self["sweep.alpha_stop"]
         step = self["sweep.alpha_step"]

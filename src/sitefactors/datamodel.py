@@ -148,6 +148,21 @@ def _read(path: Path) -> tuple[str, str]:
     return text, hashlib.sha256(data).hexdigest()
 
 
+def _csv_rows(path, lines):
+    """(line of the file, row) of every csv row that is not blank or a comment.
+
+    A field longer than the `csv` module's limit of 131072 characters is a
+    ParseError naming its line; the process-wide limit is left as it is.
+    """
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            if row and not row[0].lstrip().startswith("#"):
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+
 def _parse_clean(lines: list[str], n: int):
     """Region ids and the N x R matrix of unquoted body lines, by numpy's C parser.
 
@@ -258,12 +273,7 @@ def load_table(path, schema: IngestionConfig = IngestionConfig()) -> AttributeTa
     path = Path(path)
     text, digest = _read(path)
     lines = text.splitlines()
-    reader = csv.reader(lines)
-    rows = (
-        (reader.line_num, row)
-        for row in reader
-        if row and not row[0].lstrip().startswith("#")
-    )
+    rows = _csv_rows(path, lines)
     header_line, header = next(rows, (0, None))
     if header is None:
         raise ParseError(f"{path}: no rows found")
@@ -307,26 +317,38 @@ def describe(table: AttributeTable) -> DescriptiveStats:
     samples trend toward 0 for both. Attributes that are constant to within
     rounding (`m2 <= (eps * mean)**2`) get NaN for both with a warning; the
     small-sample floor of 4 observations for kurtosis is handled the same
-    way (a table always has 3 or more regions).
+    way (a table always has 3 or more regions). Attributes whose squared
+    deviations overflow float64 get NaN std, skewness and kurtosis and a
+    warning of their own.
     """
     values = table.values
     n = table.n_regions
-    mean = values.mean(axis=1)
-    centred = values - mean[:, None]
-    squared = centred**2
-    m2 = squared.mean(axis=1)
-    m3 = (squared * centred).mean(axis=1)
-    m4 = (squared**2).mean(axis=1)
-    constant = m2 <= (np.finfo(float).eps * mean) ** 2
     kurt_scale = 1.0 / (n - 2) / (n - 3) if n >= 4 else np.nan
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mean = values.mean(axis=1)
+        centred = values - mean[:, None]
+        squared = centred**2
+        m2 = squared.mean(axis=1)
+        m3 = (squared * centred).mean(axis=1)
+        m4 = (squared**2).mean(axis=1)
+        constant = m2 <= (np.finfo(float).eps * mean) ** 2
         skew = ((n - 1.0) * n) ** 0.5 / (n - 2.0) * m3 / m2**1.5
         kurt = kurt_scale * ((n**2 - 1.0) * m4 / m2**2.0 - 3 * (n - 1) ** 2.0)
-    skew[constant] = np.nan
-    kurt[constant] = np.nan
+        std = values.std(axis=1, ddof=1)
+    # values near 1e154 and above square past the float64 range; the
+    # constant test then compares inf with inf and means nothing
+    overflow = ~np.isfinite(m2)
+    std[overflow] = np.nan
+    skew[constant | overflow] = np.nan
+    kurt[constant | overflow] = np.nan
     warnings: list[str] = []
-    for name, flat in zip(table.attribute_names, constant):
-        if flat:
+    for name, flat, big in zip(table.attribute_names, constant, overflow):
+        if big:
+            warnings.append(
+                f"moment: attribute {name!r} overflows float64; "
+                "std/skewness/kurtosis undefined"
+            )
+        elif flat:
             warnings.append(
                 f"moment: attribute {name!r} is constant; skewness/kurtosis undefined"
             )
@@ -336,7 +358,7 @@ def describe(table: AttributeTable) -> DescriptiveStats:
         attribute_names=table.attribute_names,
         count=np.full(table.n_attributes, n, dtype=int),
         mean=mean,
-        std=values.std(axis=1, ddof=1),
+        std=std,
         min=values.min(axis=1),
         median=np.median(values, axis=1),
         max=values.max(axis=1),
@@ -349,11 +371,15 @@ def describe(table: AttributeTable) -> DescriptiveStats:
 def standardize(table: AttributeTable) -> StandardizedMatrix:
     """Z-score each attribute row with the sample standard deviation (R-1)."""
     values = table.values
-    std = values.std(axis=1, ddof=1)
-    for i, s in enumerate(std):
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = values.std(axis=1, ddof=1)
+    for name, s in zip(table.attribute_names, std):
         if s == 0.0:
-            raise ZeroVarianceError(
-                f"attribute {table.attribute_names[i]!r} has zero variance"
+            raise ZeroVarianceError(f"attribute {name!r} has zero variance")
+        if not np.isfinite(s):
+            raise SchemaError(
+                f"attribute {name!r} is too large to standardize: "
+                "its standard deviation overflows float64"
             )
     standardized = (values - values.mean(axis=1, keepdims=True)) / std[:, None]
     return StandardizedMatrix(

@@ -120,7 +120,12 @@ class FactorModel:
 
     @property
     def factor_labels(self) -> tuple[str, ...]:
-        return tuple(f"factor_{m + 1}" for m in range(self.n_factors))
+        return factor_labels(self.n_factors)
+
+
+def factor_labels(n_factors: int) -> tuple[str, ...]:
+    """Labels of the retained factors in model order: factor_1, factor_2, ..."""
+    return tuple(f"factor_{m + 1}" for m in range(n_factors))
 
 
 @dataclass(frozen=True)

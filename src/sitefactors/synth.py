@@ -13,11 +13,14 @@ file look like raw survey data; standardization removes it again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datamodel import AttributeTable
+from .errors import SchemaError
+from .reports import floats, table_rows, write_table
 
 URBAN_ATTRIBUTE_NAMES = (
     "housing_density",
@@ -57,6 +60,30 @@ class SynthConfig:
     loading: float = 0.8
     noise_std: float = 0.6
 
+    def __post_init__(self):
+        # messages name the `synth.*` config keys; the table must read back,
+        # so N >= 2 attributes and R >= N+1 regions
+        if self.seed < 0:
+            raise SchemaError(f"synth.seed must be non-negative, got {self.seed}")
+        if self.n_factors < 1:
+            raise SchemaError(f"synth.factors must be at least 1, got {self.n_factors}")
+        if self.n_attributes < max(2, self.n_factors):
+            raise SchemaError(
+                "synth.attributes must be at least max(2, synth.factors) = "
+                f"{max(2, self.n_factors)}, got {self.n_attributes}"
+            )
+        if self.n_regions < self.n_attributes + 1:
+            raise SchemaError(
+                "synth.regions must be at least synth.attributes + 1 = "
+                f"{self.n_attributes + 1}, got {self.n_regions}"
+            )
+        if not math.isfinite(self.loading):
+            raise SchemaError(f"synth.loading must be finite, got {self.loading}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise SchemaError(
+                f"synth.noise_std must be finite and >= 0, got {self.noise_std}"
+            )
+
 
 def block_sizes(n_attributes: int, n_factors: int) -> list[int]:
     """Contiguous near-equal blocks, earlier factors get the remainder."""
@@ -81,8 +108,6 @@ def _attribute_names(n: int) -> tuple[str, ...]:
 
 def generate(config: SynthConfig = SynthConfig()) -> tuple[AttributeTable, np.ndarray]:
     """Sample a table from the planted structure; returns (table, loadings)."""
-    if config.n_factors < 1 or config.n_attributes < config.n_factors:
-        raise ValueError("need at least one attribute per factor")
     rng = np.random.default_rng(config.seed)
     loadings = planted_loadings(config)
     factors = rng.standard_normal((config.n_factors, config.n_regions))
@@ -122,11 +147,6 @@ def write_synth_csv(path, config: SynthConfig = SynthConfig()) -> AttributeTable
         f"# planted blocks: {block_map}",
         "region_id," + ",".join(table.attribute_names),
     ]
-    row = "%s," + ",".join(["%.6f"] * table.n_attributes) + "\n"
-    by_region = table.values.T.copy()  # rows of a copy list faster than strided rows
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(header) + "\n")
-        handle.writelines(
-            row % (rid, *cells.tolist()) for rid, cells in zip(table.region_ids, by_region)
-        )
+    row = "%s," + floats(table.n_attributes)
+    write_table(path, header, row, table_rows(table.region_ids, [table.values.T]))
     return table

@@ -375,7 +375,12 @@ class TestErrorContract:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, key", [("describe", "engine.epsilon"), ("fit", "composite.bias_band")]
+        "command, key",
+        [
+            ("describe", "engine.epsilon"),
+            ("fit", "composite.bias_band"),
+            ("describe", "synth.noise_std"),
+        ],
     )
     def test_nan_setting_exits_2_in_any_subcommand(self, tmp_path, capsys, command, key):
         out = tmp_path / "out"
@@ -398,6 +403,76 @@ class TestErrorContract:
         code = main(["fit", "--input", FIXTURE, "--out", str(blocker / "out")])
         err = self.assert_one_error(capsys, code, 2)
         assert "NotADirectoryError" in err
+
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("synth.factors", "0"),
+            ("synth.regions", "3"),
+            ("synth.noise_std", "nan"),
+            ("synth.seed", "-1"),
+        ],
+    )
+    def test_bad_synth_setting_exits_2(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        code = main(["synth", "--out", str(out), f"--{key}", value])
+        err = self.assert_one_error(capsys, code, 2)
+        assert key in err
+        assert not out.exists()
+
+    def test_overflowing_attribute(self, tmp_path, capsys):
+        rows = [f"r{j},{(j % 5 + 1) * 1e200},{j % 3},{j * j % 7}" for j in range(12)]
+        data = tmp_path / "huge.csv"
+        data.write_text("\n".join(["region_id,a,b,c", *rows]) + "\n")
+        code = main(["describe", "--input", str(data), "--out", str(tmp_path / "d")])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "warning: moment: attribute 'a' overflows float64; "
+            "std/skewness/kurtosis undefined\n"
+        )
+        code = main(["fit", "--input", str(data), "--out", str(tmp_path / "f")])
+        err = self.assert_one_error(capsys, code, 2)
+        assert "attribute 'a' is too large to standardize" in err
+        assert not (tmp_path / "f").exists()
+
+
+class TestDefinitionLabels:
+    """Definition entries are matched to the retained factors by label."""
+
+    def run_score(self, tmp_path, name, definition):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(definition))
+        out = tmp_path / name
+        code = main([
+            "score", "--input", FIXTURE, "--out", str(out),
+            "--composite.definition", str(path),
+        ])
+        return code, out
+
+    def test_entry_order_does_not_matter(self, tmp_path):
+        reverse = dict(reversed(list(TWO_FACTOR_DEFINITION.items())))
+        assert list(reverse) == ["factor_2", "factor_1"]
+        code, forward_out = self.run_score(tmp_path, "forward", TWO_FACTOR_DEFINITION)
+        assert code == 0
+        code, reverse_out = self.run_score(tmp_path, "reverse", reverse)
+        assert code == 0
+        for name in ("scores.csv", "top_suitability.csv", "top_attractiveness.csv"):
+            assert (reverse_out / name).read_bytes() == (forward_out / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "labels, named",
+        [(("factor_1", "factor_9"), ("'factor_2'", "'factor_9'")), (("factor_1",), ("'factor_2'",))],
+    )
+    def test_missing_or_unknown_label_exits_5(self, tmp_path, capsys, labels, named):
+        entries = list(TWO_FACTOR_DEFINITION.values())
+        code, out = self.run_score(tmp_path, "bad", dict(zip(labels, entries)))
+        err = capsys.readouterr().err
+        assert code == 5
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+        assert "IncompleteDefinitionError" in err
+        assert all(label in err for label in named)
+        assert not (out / "scores.csv").exists()
 
 
 def test_cli_import_leaves_scipy_out():

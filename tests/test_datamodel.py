@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import warnings
 
@@ -95,6 +96,14 @@ class TestLoadTable:
         quoted = load_table(write_csv(tmp_path / "quoted.csv", text + "\n"))
         assert quoted.region_ids == plain.region_ids
         assert quoted.values.tobytes() == plain.values.tobytes()
+
+    def test_oversized_quoted_field_names_its_line(self, tmp_path):
+        limit = csv.field_size_limit()
+        long_id = '"' + "x" * 140_000 + '"'
+        path = write_csv(tmp_path / "long.csv", BASE_CSV.replace("r3,", long_id + ",", 1))
+        with pytest.raises(ParseError, match="line 4: field larger than field limit"):
+            load_table(path)
+        assert csv.field_size_limit() == limit
 
     def test_wrong_leading_header(self, tmp_path):
         path = write_csv(tmp_path / "head.csv", "id,a,b\nr1,1,2\n")
@@ -208,6 +217,24 @@ class TestDescribe:
         ]
         assert np.isfinite(stats.skewness[1])
 
+    def test_overflowing_row_warns_once_without_runtime_warnings(self):
+        # squared deviations of values near 1e200 overflow; the constant test
+        # would compare inf with inf
+        huge = AttributeTable(
+            attribute_names=("huge", "other"),
+            region_ids=("r1", "r2", "r3", "r4", "r5"),
+            values=np.array([[1e200, 3e200, 2e200, 5e200, 4e200], [1.0, 2.0, 4.0, 8.0, 3.0]]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = describe(huge)
+        assert stats.mean[0] == pytest.approx(3e200)
+        assert np.isnan([stats.std[0], stats.skewness[0], stats.kurtosis[0]]).all()
+        assert np.isfinite([stats.std[1], stats.skewness[1], stats.kurtosis[1]]).all()
+        assert stats.warnings == (
+            "moment: attribute 'huge' overflows float64; std/skewness/kurtosis undefined",
+        )
+
     def test_symmetric_row_has_zero_skewness(self):
         table = AttributeTable(
             attribute_names=("sym", "other"),
@@ -269,6 +296,17 @@ class TestStandardize:
         )
         with pytest.raises(ZeroVarianceError, match="flat"):
             standardize(table)
+
+    def test_overflowing_std_raises(self):
+        table = AttributeTable(
+            attribute_names=("other", "huge"),
+            region_ids=("r1", "r2", "r3"),
+            values=np.array([[4.0, 1.0, 2.0], [1e200, -1e200, 3e200]]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError, match="'huge' is too large to standardize"):
+                standardize(table)
 
     def test_order_preserved(self, table, matrix):
         assert matrix.attribute_names == table.attribute_names
