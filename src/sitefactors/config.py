@@ -15,6 +15,7 @@ from .composite import TypologyConfig
 from .datamodel import IngestionConfig
 from .engine import EngineConfig
 from .errors import AlphaRangeError, SchemaError
+from .reports import grid_label
 from .synth import SynthConfig
 
 
@@ -112,6 +113,11 @@ def load_config_file(path) -> dict:
     return raw
 
 
+def _labels_collide(values) -> bool:
+    labels = [grid_label(value) for value in values]
+    return len(set(labels)) < len(labels)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved run settings keyed by the flat dotted names."""
@@ -175,17 +181,31 @@ class RunConfig:
         start = self["sweep.alpha_start"]
         stop = self["sweep.alpha_stop"]
         step = self["sweep.alpha_step"]
-        if step <= 0:
-            raise AlphaRangeError(f"sweep.alpha_step must be positive, got {step}")
+        if not 0 < step < math.inf:
+            raise AlphaRangeError(
+                f"sweep.alpha_step must be positive and finite, got {step}"
+            )
         if not (0.0 <= start <= stop <= 1.0):
             raise AlphaRangeError(
                 f"alpha grid [{start}, {stop}] must sit inside [0, 1]"
+            )
+        # each alpha and theta names a sweep column or file by its 6-decimal
+        # label; [0, 1] holds 1_000_001 labels, so a longer grid must repeat
+        # one and is refused before it is built
+        if (stop - start) / step >= 1e6 + 1 or _labels_collide(self.alphas()):
+            raise SchemaError(
+                f"sweep.alpha_step {step} puts alphas closer than their "
+                "6-decimal labels can tell apart"
             )
         thetas = self["sweep.thetas"]
         if not thetas:
             raise SchemaError("sweep.thetas must not be empty")
         if any(b <= a for a, b in zip(thetas, thetas[1:])):
             raise SchemaError(f"sweep.thetas must be strictly ascending, got {thetas}")
+        if _labels_collide(thetas):
+            raise SchemaError(
+                f"sweep.thetas {thetas} holds values that share a 6-decimal label"
+            )
         if not 0.0 <= self["score.alpha"] <= 1.0:
             raise AlphaRangeError(
                 f"score.alpha must be within [0, 1], got {self['score.alpha']}"

@@ -326,6 +326,16 @@ def describe(table: AttributeTable) -> DescriptiveStats:
     kurt_scale = 1.0 / (n - 2) / (n - 3) if n >= 4 else np.nan
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         mean = values.mean(axis=1)
+        median = np.median(values, axis=1)
+        # finite values can sum (or pair up for the median) past the float64
+        # range; scaled by a power of two at least n they cannot, and at these
+        # magnitudes the scaling is exact, so the rescued rows lose no bits
+        lost = np.isinf(mean) | np.isinf(median)
+        if lost.any():
+            scale = 2.0 ** (n - 1).bit_length()
+            scaled = values[lost] / scale
+            mean[lost] = scaled.mean(axis=1) * scale
+            median[lost] = np.median(scaled, axis=1) * scale
         centred = values - mean[:, None]
         squared = centred**2
         m2 = squared.mean(axis=1)
@@ -360,7 +370,7 @@ def describe(table: AttributeTable) -> DescriptiveStats:
         mean=mean,
         std=std,
         min=values.min(axis=1),
-        median=np.median(values, axis=1),
+        median=median,
         max=values.max(axis=1),
         skewness=skew,
         kurtosis=kurt,

@@ -10,6 +10,7 @@ populated, sign-canonicalized model.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,15 @@ class CorrelationMatrix:
     @property
     def size(self) -> int:
         return self.values.shape[0]
+
+    @cached_property
+    def condition_number(self) -> float:
+        """2-norm condition number, taken once and shared by every stage.
+
+        Only the number is kept: a cached inverse would stay alive through
+        the principal-axis loop and raise the peak memory of a wide fit.
+        """
+        return np.linalg.cond(self.values)
 
 
 @dataclass(frozen=True)
@@ -183,7 +193,7 @@ def _inverse(corr: CorrelationMatrix, config: EngineConfig, stage: str) -> np.nd
     silent regularization would change results unannounced.
     """
     matrix = corr.values
-    cond = np.linalg.cond(matrix)
+    cond = corr.condition_number
     if cond <= config.condition_limit:
         return np.linalg.inv(matrix), ()
     if not config.ridge_fallback:
@@ -350,31 +360,37 @@ def varimax(
 
     norms = np.sqrt(np.sum(loadings**2, axis=1))
     scale = np.where(norms > 0, norms, 1.0)
-    working = loadings / scale[:, None]
-    rotation = np.eye(m)
-    history = [varimax_criterion(working)]
+    # factor-major: factor p is the contiguous row working[p], and a pair of
+    # factors is a basic-slice view rotated in place; the criterion is taken
+    # on a C-ordered (n, m) copy, since its reductions round by memory order
+    working = (loadings / scale[:, None]).T.copy()
+    turned = np.eye(m)  # the rotation, transposed
+    history = [varimax_criterion(working.T.copy())]
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         for p in range(m - 1):
             for q in range(p + 1, m):
-                x = working[:, p]
-                y = working[:, q]
+                x = working[p]
+                y = working[q]
                 u = x**2 - y**2
                 v = 2.0 * x * y
-                numer = 2.0 * (u @ v) - 2.0 * u.sum() * v.sum() / n
-                denom = (u @ u) - (v @ v) - (u.sum() ** 2 - v.sum() ** 2) / n
+                u_sum, v_sum = u.sum(), v.sum()
+                numer = 2.0 * (u @ v) - 2.0 * u_sum * v_sum / n
+                denom = (u @ u) - (v @ v) - (u_sum**2 - v_sum**2) / n
                 angle = 0.25 * np.arctan2(numer, denom)
                 if angle == 0.0:
                     continue
                 cos, sin = np.cos(angle), np.sin(angle)
-                plane = np.array([[cos, -sin], [sin, cos]])
-                working[:, [p, q]] = working[:, [p, q]] @ plane
-                rotation[:, [p, q]] = rotation[:, [p, q]] @ plane
-        history.append(varimax_criterion(working))
+                plane = np.array([[cos, sin], [-sin, cos]])
+                pair = slice(p, q + 1, q - p)
+                working[pair] = plane @ working[pair]
+                turned[pair] = plane @ turned[pair]
+        history.append(varimax_criterion(working.T.copy()))
         if history[-1] - history[-2] < tolerance:
             converged = True
             break
+    rotation = turned.T.copy()
     return VarimaxResult(
         loadings=loadings @ rotation,
         rotation=rotation,

@@ -1,15 +1,24 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import expected_small4x6 as frozen
+import oracle
 import sitefactors
+from sitefactors import engine
 from sitefactors.cli import main
+from sitefactors.config import RunConfig
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "small4x6.csv")
 
@@ -90,6 +99,33 @@ class TestFit:
         assert names == sorted(p.name for p in second.iterdir())
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_artifacts_match_the_reference_rotation(self, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        assert main([
+            "synth", "--out", str(data), "--quiet", "--synth.seed", "5",
+            "--synth.regions", "150", "--synth.attributes", "60",
+            "--synth.factors", "10",
+        ]) == 0
+        argv = [
+            "fit", "--input", str(data / "synthetic.csv"), "--quiet",
+            "--engine.kaiser_threshold", "2",
+        ]
+        fast, slow = tmp_path / "fast", tmp_path / "reference"
+        assert main([*argv, "--out", str(fast)]) == 0
+        monkeypatch.setattr(
+            engine,
+            "varimax",
+            lambda *args, **kwargs: engine.VarimaxResult(
+                *oracle.varimax_reference(*args, **kwargs)
+            ),
+        )
+        assert main([*argv, "--out", str(slow)]) == 0
+        assert json.loads((fast / "manifest.json").read_text())["n_factors"] == 10
+        names = sorted(p.name for p in fast.iterdir())
+        assert names == sorted(p.name for p in slow.iterdir())
+        for name in names:
+            assert (fast / name).read_bytes() == (slow / name).read_bytes(), name
 
     def test_no_factor_retained_exits_3(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -436,6 +472,48 @@ class TestErrorContract:
         assert "attribute 'a' is too large to standardize" in err
         assert not (tmp_path / "f").exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "describe"])
+    def test_colliding_alpha_labels_exit_2(self, tmp_path, capsys, command):
+        # 21 alphas on [0, 2e-6] share 3 labels, so top lists would overwrite
+        out = tmp_path / "out"
+        code = main([
+            command, "--input", FIXTURE, "--out", str(out),
+            "--sweep.alpha_stop", "0.000002", "--sweep.alpha_step", "0.0000001",
+        ])
+        err = self.assert_one_error(capsys, code, 2)
+        assert "sweep.alpha_step" in err
+        assert not out.exists()
+
+    def test_alpha_grid_past_the_label_count_is_refused_unbuilt(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def build(_):
+            raise AssertionError("a billion-alpha grid was built")
+
+        monkeypatch.setattr(RunConfig, "alphas", build)
+        code = main([
+            "sweep", "--input", FIXTURE, "--out", str(tmp_path / "out"),
+            "--sweep.alpha_step", "1e-9",
+        ])
+        assert "sweep.alpha_step" in self.assert_one_error(capsys, code, 2)
+
+    def test_colliding_theta_labels_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main([
+            "sweep", "--input", FIXTURE, "--out", str(out),
+            "--sweep.thetas", "1.0,1.0000001,2.0",
+        ])
+        assert "sweep.thetas" in self.assert_one_error(capsys, code, 2)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_alpha_step_exits_5(self, tmp_path, capsys, step):
+        code = main([
+            "sweep", "--input", FIXTURE, "--out", str(tmp_path / "out"),
+            "--sweep.alpha_step", step,
+        ])
+        assert "AlphaRangeError" in self.assert_one_error(capsys, code, 5)
+
 
 class TestDefinitionLabels:
     """Definition entries are matched to the retained factors by label."""
@@ -500,3 +578,81 @@ class TestProvenance:
         log = (tmp_path / "provenance.log").read_text().strip()
         assert log == "R03,housing_density,drop-region"
         assert "missing value handled" in capsys.readouterr().err
+
+
+# Setting values the fuzz test draws from: in range, at the edges and beyond.
+FUZZ_SETTINGS = {
+    "data.missing_policy": ["reject", "drop-region", "impute-median", "ignore"],
+    "engine.epsilon": ["1e-5", "0", "-1", "nan", "1e300"],
+    "engine.max_iterations": ["1", "3", "0", "-2", "2.5"],
+    "engine.kaiser_threshold": ["0.5", "1", "2", "0", "nan", "inf"],
+    "engine.ridge_fallback": ["true", "false", "maybe"],
+    "engine.varimax_tolerance": ["1e-8", "0", "-1", "nan"],
+    "composite.binary": ["true", "false"],
+    "composite.balance_band": ["0.1", "0", "0.6", "-1", "nan"],
+    "composite.bias_band": ["0.5", "0", "2", "nan"],
+    "score.alpha": ["0.5", "0", "1", "1.5", "nan"],
+    "score.top_k": ["3", "1", "0", "-1", "100"],
+    "sweep.alpha_start": ["0", "0.3", "-0.1", "nan"],
+    "sweep.alpha_stop": ["1", "0.3", "2"],
+    "sweep.alpha_step": ["0.2", "0.5", "0", "1e-7", "1e-12", "nan", "inf"],
+    "sweep.thetas": ["1,2", "2,1", "0", "", "1,1.0000001", "-1e300,1e300", "a"],
+    "sweep.top_k": ["5", "0", "-1"],
+    "synth.factors": ["6", "0"],
+    "synth.noise_std": ["0.6", "nan"],
+}
+
+# Cells that replace generated values: missing, non-numeric, huge, odd forms.
+FUZZ_CELLS = ["", "nan", "inf", "-inf", "x", "1_0", "1e308", "-1e200", "0x10", " 2 ", "1e-320"]
+
+
+@st.composite
+def cli_cases(draw):
+    """A small CSV with planted factors, a few defects, a command and settings."""
+    n = draw(st.integers(2, 6))
+    r = max(1, n + 1 + draw(st.integers(-2, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    planted = draw(st.sampled_from([0.0, 1.0, 3.0, 3.0, 1e3])) * np.eye(2)[np.arange(n) % 2]
+    values = rng.normal(size=(r, 2)) @ planted.T + rng.normal(size=(r, n))
+    if draw(st.integers(0, 5)) == 0:
+        values[:, -1] = values[:, 0] * 2.0  # an exact collinear pair
+    cells = [[f"{x:.6g}" for x in row] for row in values]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, n - 1))
+        cells[i][j] = draw(st.sampled_from(FUZZ_CELLS))
+    ids = [f"r{i}" for i in range(r)]
+    if draw(st.integers(0, 4)) == 0:
+        ids[-1] = draw(st.sampled_from(["r0", "", '"q,1"', "#c"]))
+    lines = ["region_id," + ",".join(f"a{k}" for k in range(n))]
+    lines += [",".join([rid, *row]) for rid, row in zip(ids, cells)]
+    if draw(st.integers(0, 4)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# note", "r9"])))
+    command = draw(st.sampled_from(["describe", "fit", "score", "sweep"]))
+    keys = draw(st.lists(st.sampled_from(sorted(FUZZ_SETTINGS)), max_size=2, unique=True))
+    overrides = [(key, draw(st.sampled_from(FUZZ_SETTINGS[key]))) for key in keys]
+    return "\n".join(lines) + "\n", command, overrides, draw(st.integers(0, 3)) > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_cases())
+def test_cli_fuzz_keeps_the_exit_contract(case):
+    text, command, overrides, with_definition = case
+    with tempfile.TemporaryDirectory() as directory:
+        root = Path(directory)
+        (root / "in.csv").write_text(text, encoding="utf-8")
+        argv = [command, "--input", str(root / "in.csv"), "--out", str(root / "out")]
+        if with_definition:
+            (root / "def.json").write_text(json.dumps(TWO_FACTOR_DEFINITION))
+            argv += ["--composite.definition", str(root / "def.json")]
+        for key, value in overrides:
+            argv += [f"--{key}={value}"]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4, 5), err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == (code != 0), err

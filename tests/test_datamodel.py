@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -234,6 +235,31 @@ class TestDescribe:
         assert stats.warnings == (
             "moment: attribute 'huge' overflows float64; std/skewness/kurtosis undefined",
         )
+
+    def test_sum_past_float64_keeps_mean_and_median_finite(self):
+        # each value is finite, but the sum of a row (or the pair the
+        # median averages) is not
+        rows = [
+            np.linspace(3e307, 1.4e308, 12),
+            [1.5e308, 1.6e308, 1.7e308, 1.7e308, 1.6e308, 1.5e308, 1e308, 1.79e308, 0, 1, 2, 3],
+            [1.0, 2.0, 4.0, 8.0, 3.0, 5.0, 9.0, 7.0, 6.0, 0.5, 0.25, 11.0],
+        ]
+        table = AttributeTable(
+            attribute_names=("ramp", "pair", "small"),
+            region_ids=tuple(f"r{j}" for j in range(12)),
+            values=np.array(rows),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = describe(table)
+        for i, row in enumerate(rows[:2]):
+            exact = sum(Fraction(x) for x in row) / 12
+            assert stats.mean[i] == pytest.approx(float(exact), rel=1e-15)
+        assert stats.median[0] == pytest.approx(8.5e307, rel=1e-15)
+        assert stats.median[1] == 1.5e308
+        assert stats.mean[2] == table.values[2].mean()
+        assert stats.median[2] == np.median(table.values[2])
+        assert np.isnan(stats.std[:2]).all()
 
     def test_symmetric_row_has_zero_skewness(self):
         table = AttributeTable(

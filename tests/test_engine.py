@@ -435,6 +435,13 @@ class TestFitFactorModel:
         with pytest.raises(SchemaError, match=field):
             EngineConfig(**{field: value})
 
+    def test_one_condition_number_per_fit(self, matrix, monkeypatch):
+        calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda m: calls.append(m) or cond(m))
+        fit_factor_model(matrix)
+        assert len(calls) == 1
+
     def test_deterministic(self, matrix):
         first = fit_factor_model(matrix)
         second = fit_factor_model(matrix)
@@ -500,6 +507,24 @@ class TestSyntheticRecovery:
         off = magnitude[planted == 0]
         assert on.min() > 0.95
         assert off.max() < 0.2
+
+    def test_ridge_warns_at_both_stages_from_one_condition_number(self, monkeypatch):
+        config = SynthConfig(
+            seed=3, n_attributes=8, n_regions=120, n_factors=2,
+            loading=0.8, noise_std=0.0,
+        )
+        table, _ = generate(config)
+        calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda m: calls.append(m) or cond(m))
+        model = fit_factor_model(
+            standardize(table), EngineConfig(ridge_fallback=True)
+        )
+        assert len(calls) == 1
+        ridge = [w for w in model.warnings if w.startswith("ridge:")]
+        assert len(ridge) == 2
+        assert "during initial communalities" in ridge[0]
+        assert "during scoring weights" in ridge[1]
 
     def test_noiseless_plant_errors_without_ridge(self):
         config = SynthConfig(

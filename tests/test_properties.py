@@ -76,6 +76,30 @@ def test_varimax_criterion_never_decreases(loads):
     assert np.all(np.diff(history) >= -1e-12)
 
 
+@st.composite
+def reference_loadings(draw):
+    """Loadings of 3-80 rows and 1-15 columns at scales 0.01-2, some rows zero."""
+    n = draw(st.integers(3, 80))
+    m = draw(st.integers(1, 15))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    loads = rng.normal(size=(n, m)) * draw(st.floats(0.01, 2.0))
+    zero_rows = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    loads[zero_rows] = 0.0
+    return loads
+
+
+@settings(max_examples=30, deadline=None)
+@given(reference_loadings())
+def test_varimax_is_bit_identical_to_the_reference(loads):
+    result = varimax(loads)
+    loadings, rotation, history, sweeps, converged = oracle.varimax_reference(loads)
+    assert np.array_equal(result.loadings, loadings)
+    assert np.array_equal(result.rotation, rotation)
+    assert result.criterion_history == history
+    assert result.sweeps_used == sweeps
+    assert result.converged == converged
+
+
 def pipeline_case(seed: int):
     """A factor-structured random dataset and its fitted model."""
     rng = np.random.default_rng(seed)
