@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .datamodel import median
 from .engine import FactorScores, factor_labels
 from .errors import (
     AlphaRangeError,
@@ -273,8 +274,8 @@ def quadrant_classify(
     """
     suit = scores.suitability
     attr = scores.attractiveness
-    s_high = suit >= np.median(suit)
-    a_high = attr >= np.median(attr)
+    s_high = suit >= median(suit)
+    a_high = attr >= median(attr)
     both = s_high & a_high
     gap = _rank_normalize(suit) - _rank_normalize(attr)
     quadrants = np.select(

@@ -206,6 +206,10 @@ class RunConfig:
             raise SchemaError(
                 f"sweep.thetas {thetas} holds values that share a 6-decimal label"
             )
+        # a depth above the region count is clipped to it when the lists are built
+        for key in ("score.top_k", "sweep.top_k"):
+            if self[key] < 1:
+                raise SchemaError(f"{key} must be at least 1, got {self[key]}")
         if not 0.0 <= self["score.alpha"] <= 1.0:
             raise AlphaRangeError(
                 f"score.alpha must be within [0, 1], got {self['score.alpha']}"

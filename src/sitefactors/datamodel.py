@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +24,33 @@ from .errors import (
 )
 
 MISSING_POLICIES = ("reject", "drop-region", "impute-median")
+DUPLICATES_NAMED = 10  # an error names at most this many repeated names
+
+
+def median(values):
+    """`np.median` along the last axis of a non-empty array, bit for bit.
+
+    numpy's own algorithm with its partition indices, so even the sign of a
+    zero median matches: partition at the middle and the last place, take
+    the mean of the middle slice, and give NaN wherever the last place holds
+    one. `np.median` checks for NaN through `np.ma`, which imports
+    `numpy.ma` (about 10 ms) on first use.
+    """
+    values = np.asarray(values, dtype=float)
+    half, odd = divmod(values.shape[-1], 2)
+    middle = [half] if odd else [half - 1, half]
+    part = np.partition(values, [*middle, -1], axis=-1)
+    result = np.mean(part[..., middle[0] : half + 1], axis=-1)
+    last = part[..., -1]
+    # [()] makes a 0-d result the numpy scalar np.median returns
+    return np.where(np.isnan(last), last, result)[()]
+
+
+def _duplicates(names) -> str:
+    """The repeated names, sorted, the first few of them spelled out."""
+    repeated = sorted(name for name, count in Counter(names).items() if count > 1)
+    more = len(repeated) - DUPLICATES_NAMED
+    return str(repeated[:DUPLICATES_NAMED]) + (f" and {more} more" if more > 0 else "")
 
 
 @dataclass(frozen=True)
@@ -221,8 +249,7 @@ def _parse_cells(path, rows, attribute_names, schema: IngestionConfig):
         cells.append(parsed)
 
     if len(set(region_ids)) != len(region_ids):
-        dupes = sorted({r for r in region_ids if region_ids.count(r) > 1})
-        raise SchemaError(f"{path}: duplicate region ids {dupes}")
+        raise SchemaError(f"{path}: duplicate region ids {_duplicates(region_ids)}")
 
     provenance: list[str] = []
     if schema.missing_policy == "drop-region":
@@ -250,7 +277,7 @@ def _parse_cells(path, rows, attribute_names, schema: IngestionConfig):
                 continue
             if missing.all():
                 raise SchemaError(f"{path}: attribute {name!r} has no numeric values")
-            fill = float(np.median(row[~missing]))
+            fill = float(median(row[~missing]))
             for j in np.flatnonzero(missing):
                 provenance.append(f"{region_ids[j]},{name},impute-median")
             row[missing] = fill
@@ -284,8 +311,9 @@ def load_table(path, schema: IngestionConfig = IngestionConfig()) -> AttributeTa
     if not attribute_names:
         raise ParseError(f"{path}: no attribute columns")
     if len(set(attribute_names)) != len(attribute_names):
-        dupes = sorted({a for a in attribute_names if attribute_names.count(a) > 1})
-        raise SchemaError(f"{path}: duplicate attribute columns {dupes}")
+        raise SchemaError(
+            f"{path}: duplicate attribute columns {_duplicates(attribute_names)}"
+        )
 
     n = len(attribute_names)
     clean = None if '"' in text else _parse_clean(lines[header_line:], n)
@@ -326,16 +354,16 @@ def describe(table: AttributeTable) -> DescriptiveStats:
     kurt_scale = 1.0 / (n - 2) / (n - 3) if n >= 4 else np.nan
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         mean = values.mean(axis=1)
-        median = np.median(values, axis=1)
+        medians = median(values)
         # finite values can sum (or pair up for the median) past the float64
         # range; scaled by a power of two at least n they cannot, and at these
         # magnitudes the scaling is exact, so the rescued rows lose no bits
-        lost = np.isinf(mean) | np.isinf(median)
+        lost = np.isinf(mean) | np.isinf(medians)
         if lost.any():
             scale = 2.0 ** (n - 1).bit_length()
             scaled = values[lost] / scale
             mean[lost] = scaled.mean(axis=1) * scale
-            median[lost] = np.median(scaled, axis=1) * scale
+            medians[lost] = median(scaled) * scale
         centred = values - mean[:, None]
         squared = centred**2
         m2 = squared.mean(axis=1)
@@ -370,7 +398,7 @@ def describe(table: AttributeTable) -> DescriptiveStats:
         mean=mean,
         std=std,
         min=values.min(axis=1),
-        median=median,
+        median=medians,
         max=values.max(axis=1),
         skewness=skew,
         kurtosis=kurt,

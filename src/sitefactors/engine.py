@@ -360,32 +360,57 @@ def varimax(
 
     norms = np.sqrt(np.sum(loadings**2, axis=1))
     scale = np.where(norms > 0, norms, 1.0)
-    # factor-major: factor p is the contiguous row working[p], and a pair of
-    # factors is a basic-slice view rotated in place; the criterion is taken
-    # on a C-ordered (n, m) copy, since its reductions round by memory order
-    working = (loadings / scale[:, None]).T.copy()
-    turned = np.eye(m)  # the rotation, transposed
+    # factor-major state: row p holds factor p of the normalized loadings and
+    # row p of the rotation, transposed, side by side, so one basic-slice
+    # view per pair rotates both; the criterion is taken on a C-ordered
+    # (n, m) copy, since its reductions round by memory order
+    state = np.zeros((m, n + m))
+    working, turned = state[:, :n], state[:, n:]
+    working[...] = (loadings / scale[:, None]).T
+    np.fill_diagonal(turned, 1.0)
+    # within block p, row q > p changes only at its own pair (p, q), so its
+    # square and double taken at the block start hold until that pair;
+    # x * (2y) rounds the same real product as (2x) * y, doubling being exact
+    squares, doubled = np.empty((m, n)), np.empty((m, n))
+    square_rows, double_rows = list(squares), list(doubled)
+    blocks = [[state[p : q + 1 : q - p] for q in range(p + 1, m)] for p in range(m - 1)]
+    uv = np.empty((2, n))
+    u, v = uv
+    rotated = np.empty((2, n + m))
+    plane = np.empty((2, 2))
+    entries = plane.reshape(4)
+    subtract, multiply, sum_rows = np.subtract, np.multiply, np.add.reduce
+    arctan2, cos, sin, matmul = np.arctan2, np.cos, np.sin, np.matmul
     history = [varimax_criterion(working.T.copy())]
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                x = working[p]
-                y = working[q]
-                u = x**2 - y**2
-                v = 2.0 * x * y
-                u_sum, v_sum = u.sum(), v.sum()
-                numer = 2.0 * (u @ v) - 2.0 * u_sum * v_sum / n
-                denom = (u @ u) - (v @ v) - (u_sum**2 - v_sum**2) / n
-                angle = 0.25 * np.arctan2(numer, denom)
+        for p, pairs in enumerate(blocks):
+            multiply(working[p:], working[p:], out=squares[p:])
+            multiply(working[p + 1 :], 2.0, out=doubled[p + 1 :])
+            x, x_sq = working[p], square_rows[p]
+            for q, pair in enumerate(pairs, p + 1):
+                subtract(x_sq, square_rows[q], out=u)
+                multiply(x, double_rows[q], out=v)
+                # one reduce sums each row of uv as u.sum() and v.sum() do;
+                # ndarray.dot is np.dot's ddot without its dispatch; Python
+                # floats do the same IEEE arithmetic at less call cost, and
+                # their ** calls libm's pow as numpy's scalars do (x * x
+                # differs from pow(x, 2) in the last bit now and then)
+                u_sum, v_sum = sum_rows(uv, 1).tolist()
+                numer = 2.0 * float(u.dot(v)) - 2.0 * u_sum * v_sum / n
+                denom = float(u.dot(u)) - float(v.dot(v)) - (u_sum**2 - v_sum**2) / n
+                angle = 0.25 * float(arctan2(numer, denom))
                 if angle == 0.0:
                     continue
-                cos, sin = np.cos(angle), np.sin(angle)
-                plane = np.array([[cos, sin], [-sin, cos]])
-                pair = slice(p, q + 1, q - p)
-                working[pair] = plane @ working[pair]
-                turned[pair] = plane @ turned[pair]
+                entries[0] = entries[3] = cos(angle)
+                entries[1] = sine = sin(angle)
+                entries[2] = -sine
+                # numpy copies an input that overlaps `out`; a spare output
+                # and one copy back cost less
+                matmul(plane, pair, out=rotated)
+                pair[...] = rotated
+                multiply(x, x, out=x_sq)
         history.append(varimax_criterion(working.T.copy()))
         if history[-1] - history[-2] < tolerance:
             converged = True

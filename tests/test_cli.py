@@ -410,6 +410,20 @@ class TestErrorContract:
         assert "balance_band" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("score.top_k", "0"), ("sweep.top_k", "-1")])
+    @pytest.mark.parametrize("command", ["describe", "fit", "score", "sweep", "synth"])
+    def test_top_k_below_one_exits_2_unwritten(
+        self, tmp_path, capsys, definition_path, command, key, value
+    ):
+        out = tmp_path / "out"
+        code = main([
+            command, "--input", FIXTURE, "--out", str(out),
+            "--composite.definition", definition_path, f"--{key}", value,
+        ])
+        err = self.assert_one_error(capsys, code, 2)
+        assert f"{key} must be at least 1" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, key",
         [
@@ -559,6 +573,24 @@ def test_cli_import_leaves_scipy_out():
     check = "import sys, sitefactors.cli; sys.exit('scipy' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", check], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_runs_leave_numpy_ma_and_scipy_out(tmp_path, definition_path):
+    package_root = str(Path(sitefactors.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=package_root)
+    script = (
+        "import sys\n"
+        "from sitefactors.cli import main\n"
+        f"argv = ['--input', {FIXTURE!r}, '--out', {str(tmp_path)!r}, '--quiet',\n"
+        f"        '--composite.definition', {definition_path!r}]\n"
+        "codes = [main([command, *argv]) for command in ('describe', 'fit', 'score', 'sweep')]\n"
+        "loaded = [name for name in ('numpy.ma', 'scipy') if name in sys.modules]\n"
+        "sys.exit(f'exit codes {codes}, loaded {loaded}' if any(codes) or loaded else 0)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
 

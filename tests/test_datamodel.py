@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 import expected_small4x6 as frozen
@@ -20,6 +23,7 @@ from sitefactors import (
     load_table,
     standardize,
 )
+from sitefactors.datamodel import median
 
 
 def write_csv(path, text):
@@ -59,6 +63,21 @@ class TestLoadTable:
         )
         with pytest.raises(SchemaError, match="duplicate region"):
             load_table(path)
+
+    def test_duplicate_names_are_counted_and_capped(self, tmp_path):
+        ids = [f"r{i:02d}" for i in range(40)]
+        body = "".join(f"{rid},{k},{k * k % 7}\n" for k, rid in enumerate(ids + ids[:30]))
+        path = write_csv(tmp_path / "dup.csv", "region_id,a,b\n" + body)
+        with pytest.raises(SchemaError) as caught:
+            load_table(path)
+        named = [f"r{i:02d}" for i in range(10)]
+        assert str(caught.value) == f"{path}: duplicate region ids {named} and 20 more"
+        header = ",".join(["region_id"] + [f"a{i:02d}" for i in range(12)] * 2)
+        path = write_csv(tmp_path / "dup_columns.csv", header + "\n")
+        with pytest.raises(SchemaError) as caught:
+            load_table(path)
+        named = [f"a{i:02d}" for i in range(10)]
+        assert str(caught.value) == f"{path}: duplicate attribute columns {named} and 2 more"
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(ParseError):
@@ -348,3 +367,26 @@ class TestStandardize:
         )
         assert_allclose(stats.std, 1.0, atol=1e-10)
         assert_allclose(stats.mean, 0.0, atol=1e-10)
+
+
+# Values that decide a median's bits: signed zeros, ties, NaN and infinities.
+MEDIAN_VALUES = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 2.5, np.nan, np.inf, -np.inf]
+) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 4), st.integers(1, 9)),
+        elements=MEDIAN_VALUES,
+    ),
+)
+def test_median_is_bit_equal_to_numpy(values):
+    with np.errstate(invalid="ignore", over="ignore"):
+        rows, expected_rows = median(values), np.median(values, axis=1)
+        flat, expected_flat = median(values[0]), np.median(values[0])
+    assert rows.tobytes() == expected_rows.tobytes()
+    assert type(flat) is type(expected_flat) is np.float64
+    assert np.asarray(flat).tobytes() == np.asarray(expected_flat).tobytes()

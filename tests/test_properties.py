@@ -17,6 +17,7 @@ from sitefactors import (
     AttributeTable,
     CompositeDefinition,
     Dimension,
+    EngineConfig,
     FactorAssignment,
     FactorScores,
     IngestionConfig,
@@ -99,6 +100,89 @@ def test_varimax_is_bit_identical_to_the_reference(loads):
     assert result.sweeps_used == sweeps
     assert result.converged == converged
 
+
+
+def assert_matches_the_reference(loads, **kwargs):
+    """The rotation, bit for bit against `oracle.varimax_reference`."""
+    result = varimax(loads, **kwargs)
+    loadings, rotation, history, sweeps, converged = oracle.varimax_reference(
+        loads, **kwargs
+    )
+    assert np.array_equal(result.loadings, loadings)
+    assert np.array_equal(result.rotation, rotation)
+    assert result.criterion_history == history
+    assert result.sweeps_used == sweeps
+    assert result.converged == converged
+    return result
+
+
+@st.composite
+def simple_structure_loadings(draw):
+    """Block-diagonal loadings of 2-40 factors: each row loads on one factor."""
+    m = draw(st.integers(2, 40))
+    n = draw(st.integers(m, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    loads = np.zeros((n, m))
+    sizes = rng.uniform(0.3, 0.9, n) * rng.choice([-1.0, 1.0], n)
+    loads[np.arange(n), rng.integers(0, m, n)] = sizes
+    return loads
+
+
+@settings(max_examples=30, deadline=None)
+@given(simple_structure_loadings())
+def test_varimax_skips_every_pair_of_simple_structure(loads):
+    result = assert_matches_the_reference(loads)
+    # each pair's columns share no row, so its angle is exactly zero
+    assert np.array_equal(result.rotation, np.eye(loads.shape[1]))
+    assert result.sweeps_used == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(simple_structure_loadings(), st.data())
+def test_varimax_mixes_skipped_and_rotated_pairs(loads, data):
+    n, m = loads.shape
+    width = data.draw(st.integers(2, m))
+    row = data.draw(st.integers(0, n - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    loads = loads.copy()
+    loads[row] = 0.0
+    loads[row, :width] = rng.normal(size=width)
+    result = assert_matches_the_reference(loads)
+    # pairs inside the dense row's factors rotate; pairs reaching past it
+    # share no row and are skipped, so the rotation stays block-diagonal
+    assert np.array_equal(result.rotation[width:, width:], np.eye(m - width))
+    assert not result.rotation[:width, width:].any()
+    assert not result.rotation[width:, :width].any()
+
+
+@st.composite
+def long_block_loadings(draw):
+    """Loadings of 16-40 factors, whose blocks of pairs outrun the 15 above."""
+    m = draw(st.integers(16, 40))
+    n = draw(st.integers(m, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    loads = rng.normal(size=(n, m)) * draw(st.floats(0.01, 2.0))
+    loads[draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0.0
+    return loads
+
+
+@settings(max_examples=20, deadline=None)
+@given(long_block_loadings(), st.integers(1, 6))
+def test_varimax_matches_the_reference_on_long_blocks(loads, max_sweeps):
+    # a few sweeps each keep the reference's cost down at m = 40
+    assert_matches_the_reference(loads, max_sweeps=max_sweeps)
+
+
+def test_varimax_matches_the_reference_at_the_wide_benchmark_shape():
+    # the `wide` workload of the benchmark: 500 x 420, 70 factors kept at 2
+    table, _ = generate(
+        SynthConfig(seed=42, n_attributes=420, n_regions=500, n_factors=70)
+    )
+    config = EngineConfig(kaiser_threshold=2.0)
+    corr = correlation(standardize(table))
+    model = paf_iterate(corr, initial_communalities(corr, config), config)
+    assert model.unrotated_loadings.shape == (420, 70)
+    assert_matches_the_reference(model.unrotated_loadings)
 
 def pipeline_case(seed: int):
     """A factor-structured random dataset and its fitted model."""
