@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -123,11 +122,6 @@ def _resolve_config(args) -> RunConfig:
     return RunConfig.resolve(file_values, overrides)
 
 
-def _say(config: RunConfig, message: str) -> None:
-    if not config["quiet"]:
-        print(message)
-
-
 def _warn(messages) -> None:
     for message in messages:
         print(f"warning: {message}", file=sys.stderr)
@@ -141,11 +135,11 @@ def _input_path(config: RunConfig) -> Path:
 
 
 def _load(config: RunConfig):
+    """The input table, and its provenance log if a cell was handled."""
     table = load_table(_input_path(config), config.ingestion())
-    if table.provenance:
-        write_provenance(Path(config["out"]) / "provenance.log", table.provenance)
-        _warn(f"missing value handled: {line}" for line in table.provenance)
-    return table
+    _warn(f"missing value handled: {line}" for line in table.provenance)
+    artifacts = {"provenance.log": (write_provenance, table.provenance)}
+    return table, artifacts if table.provenance else {}
 
 
 def _definition(config: RunConfig, n_factors: int):
@@ -158,16 +152,18 @@ def _definition(config: RunConfig, n_factors: int):
 
 def _fit(config: RunConfig):
     """Shared fit stage: table -> standardized matrix -> canonical model."""
-    table = _load(config)
+    table, artifacts = _load(config)
     matrix = standardize(table)
     model = fit_factor_model(matrix, config.engine())
     dominant = dominant_attributes(model.rotated_loadings)
     warnings = list(model.warnings) + list(dominant.warnings)
     _warn(warnings)
-    return table, matrix, model, dominant, warnings
+    manifest = _manifest(config, table, model, warnings)
+    artifacts["manifest.json"] = (write_manifest, manifest)
+    return table, matrix, model, dominant, artifacts
 
 
-def _write_manifest(out: Path, config: RunConfig, table, model, warnings) -> None:
+def _manifest(config: RunConfig, table, model, warnings) -> dict:
     # input/out/quiet are environment locations, not computation parameters;
     # the digest pins the input content, so reruns into any directory of the
     # same data and settings produce byte-identical artifacts
@@ -176,7 +172,7 @@ def _write_manifest(out: Path, config: RunConfig, table, model, warnings) -> Non
         for key, value in config.snapshot().items()
         if key not in ("input", "out", "quiet")
     }
-    payload = {
+    return {
         "config": snapshot,
         "input_digest": table.digest,
         "tool_version": __version__,
@@ -185,90 +181,74 @@ def _write_manifest(out: Path, config: RunConfig, table, model, warnings) -> Non
         "n_factors": model.n_factors,
         "warnings": list(warnings),
     }
-    write_manifest(out / "manifest.json", payload)
 
 
-def cmd_describe(config: RunConfig) -> int:
-    table = _load(config)
+# Each subcommand only computes: it returns its artifacts, a dict of file
+# name -> (writer, *args), and its summary line; `main` writes them.
+
+
+def cmd_describe(config: RunConfig):
+    table, artifacts = _load(config)
     stats = describe(table)
     _warn(stats.warnings)
-    write_stats_csv(Path(config["out"]) / "stats.csv", stats)
-    _say(config, f"N={table.n_attributes} R={table.n_regions}")
-    return 0
+    artifacts["stats.csv"] = (write_stats_csv, stats)
+    return artifacts, f"N={table.n_attributes} R={table.n_regions}"
 
 
-def cmd_fit(config: RunConfig) -> int:
-    table, _, model, dominant, warnings = _fit(config)
-    out = Path(config["out"])
-    write_loadings_csv(out / "loadings.csv", model, dominant)
-    write_eigenvalues_csv(out / "eigenvalues.csv", model)
-    write_weights_csv(out / "weights.csv", model)
-    _write_manifest(out, config, table, model, warnings)
-    _say(
-        config,
+def cmd_fit(config: RunConfig):
+    table, _, model, dominant, artifacts = _fit(config)
+    artifacts["loadings.csv"] = (write_loadings_csv, model, dominant)
+    artifacts["eigenvalues.csv"] = (write_eigenvalues_csv, model)
+    artifacts["weights.csv"] = (write_weights_csv, model)
+    summary = (
         f"N={table.n_attributes} R={table.n_regions} M={model.n_factors} "
-        f"converged={model.converged} iterations={model.iterations_used}",
+        f"converged={model.converged} iterations={model.iterations_used}"
     )
-    return 0
+    return artifacts, summary
 
 
-def cmd_score(config: RunConfig) -> int:
-    table, matrix, model, _, warnings = _fit(config)
+def cmd_score(config: RunConfig):
+    _, matrix, model, _, artifacts = _fit(config)
     definition = _definition(config, model.n_factors)
     scores = factor_scores(model.scoring_weights, matrix)
     alpha = config["score.alpha"]
     regions = score_regions(scores, definition, alpha, config.typology())
-    out = Path(config["out"])
-    write_scores_csv(out / "scores.csv", regions)
+    artifacts["scores.csv"] = (write_scores_csv, regions)
     k = min(config["score.top_k"], regions.n_regions)
-    write_top_csv(
-        out / "top_suitability.csv", top_k(regions, k, "suitability"), "suitability"
-    )
-    write_top_csv(
-        out / "top_attractiveness.csv",
-        top_k(regions, k, "attractiveness"),
-        "attractiveness",
-    )
-    _write_manifest(out, config, table, model, warnings)
-    _say(config, f"scored {regions.n_regions} regions at alpha={alpha:g}")
-    return 0
+    for key in ("suitability", "attractiveness"):
+        ranking = top_k(regions.region_ids, getattr(regions, key), k)
+        artifacts[f"top_{key}.csv"] = (write_top_csv, ranking, key)
+    return artifacts, f"scored {regions.n_regions} regions at alpha={alpha:g}"
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    table, matrix, model, _, warnings = _fit(config)
+def cmd_sweep(config: RunConfig):
+    _, matrix, model, _, artifacts = _fit(config)
     definition = _definition(config, model.n_factors)
     scores = factor_scores(model.scoring_weights, matrix)
     composites = composite_scores(scores, definition)
     grid = sweep(composites, config.alphas(), config["sweep.thetas"])
-    out = Path(config["out"])
-    write_sweep_wide_csv(out / "sweep_wide.csv", grid)
-    write_sweep_long_csv(out / "sweep_long.csv", grid)
-    k = min(config["sweep.top_k"], len(composites.region_ids))
-    # one score table serves every alpha; only its v-scores depend on alpha
-    regions = score_regions(scores, definition, grid.alphas[0], config.typology())
+    artifacts["sweep_wide.csv"] = (write_sweep_wide_csv, grid)
+    artifacts["sweep_long.csv"] = (write_sweep_long_csv, grid)
+    k = min(config["sweep.top_k"], grid.n_regions)
     for alpha in grid.alphas:
         v = v_score(composites.suitability, composites.attractiveness, alpha)
-        ranking = top_k(replace(regions, alpha=alpha, v_scores=v), k, "v_score")
-        write_top_csv(
-            out / f"top_regions_alpha_{grid_label(alpha)}.csv", ranking, "v_score"
-        )
-    _write_manifest(out, config, table, model, warnings)
-    _say(
-        config,
+        ranking = top_k(composites.region_ids, v, k)
+        name = f"top_regions_alpha_{grid_label(alpha)}.csv"
+        artifacts[name] = (write_top_csv, ranking, "v_score")
+    summary = (
         f"sweep grid {len(grid.thetas)}x{len(grid.alphas)} over "
-        f"{grid.n_regions} regions",
+        f"{grid.n_regions} regions"
     )
-    return 0
+    return artifacts, summary
 
 
-def cmd_synth(config: RunConfig) -> int:
+def cmd_synth(config: RunConfig):
+    synth = config.synth()
     path = Path(config["out"]) / "synthetic.csv"
-    table = write_synth_csv(path, config.synth())
-    _say(
-        config,
-        f"wrote {path} ({table.n_attributes} attributes x {table.n_regions} regions)",
+    summary = (
+        f"wrote {path} ({synth.n_attributes} attributes x {synth.n_regions} regions)"
     )
-    return 0
+    return {path.name: (write_synth_csv, synth)}, summary
 
 
 COMMANDS = {
@@ -284,7 +264,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _resolve_config(args)
-        return COMMANDS[args.command](config)
+        artifacts, summary = COMMANDS[args.command](config)
+        # nothing is written, not even the output directory, unless the
+        # whole computation succeeded
+        out = Path(config["out"])
+        for name, (writer, *payload) in artifacts.items():
+            writer(out / name, *payload)
+        if not config["quiet"]:
+            print(summary)
+        return 0
     except (SiteFactorsError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _exit_code(exc)

@@ -357,25 +357,15 @@ def sweep(scores: CompositeScores, alphas, thetas) -> SweepGrid:
     )
 
 
-_TOP_KEYS = ("suitability", "attractiveness", "v_score")
-
-
-def top_k(scores: RegionScores, k: int, key: str = "v_score"):
-    """Best k region ids by the chosen key, ties broken by region id."""
-    if key not in _TOP_KEYS:
-        raise KRangeError(f"unknown ranking key {key!r}; expected one of {_TOP_KEYS}")
-    if not 1 <= k <= scores.n_regions:
-        raise KRangeError(f"k must be within [1, {scores.n_regions}], got {k}")
-    values = {
-        "suitability": scores.suitability,
-        "attractiveness": scores.attractiveness,
-        "v_score": scores.v_scores,
-    }[key]
+def top_k(region_ids, values, k: int):
+    """Best k `(region id, value)` pairs by value, ties broken by region id."""
+    if not 1 <= k <= len(region_ids):
+        raise KRangeError(f"k must be within [1, {len(region_ids)}], got {k}")
     # an object array compares ids as Python strings; numpy's fixed-width
     # strings would drop trailing NULs and tie ids that differ only there
-    ids = np.array(scores.region_ids, dtype=object)
+    ids = np.array(region_ids, dtype=object)
     order = np.lexsort((ids, -values))[:k]
-    return [(scores.region_ids[j], float(values[j])) for j in order]
+    return [(region_ids[j], float(values[j])) for j in order]
 
 
 def factor_contributions(

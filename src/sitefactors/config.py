@@ -68,20 +68,21 @@ KEY_TYPES = {
     "synth.noise_std": float,
 }
 
+# The settings classes own their defaults; the other keys have theirs here.
 DEFAULTS = {
     "input": "",
     "out": "out",
     "quiet": False,
-    "data.missing_policy": "reject",
-    "engine.epsilon": 1e-5,
-    "engine.max_iterations": 200,
-    "engine.kaiser_threshold": 1.0,
-    "engine.ridge_fallback": False,
-    "engine.varimax_tolerance": 1e-8,
+    "data.missing_policy": IngestionConfig.missing_policy,
+    "engine.epsilon": EngineConfig.epsilon,
+    "engine.max_iterations": EngineConfig.max_iterations,
+    "engine.kaiser_threshold": EngineConfig.kaiser_threshold,
+    "engine.ridge_fallback": EngineConfig.ridge_fallback,
+    "engine.varimax_tolerance": EngineConfig.varimax_tolerance,
     "composite.definition": "",
     "composite.binary": False,
-    "composite.balance_band": 0.1,
-    "composite.bias_band": 0.5,
+    "composite.balance_band": TypologyConfig.balance_band,
+    "composite.bias_band": TypologyConfig.bias_band,
     "score.alpha": 0.5,
     "score.top_k": 10,
     "sweep.alpha_start": 0.0,
@@ -89,12 +90,12 @@ DEFAULTS = {
     "sweep.alpha_step": 0.2,
     "sweep.thetas": (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
     "sweep.top_k": 30,
-    "synth.seed": 42,
-    "synth.regions": 426,
-    "synth.attributes": 25,
-    "synth.factors": 6,
-    "synth.loading": 0.8,
-    "synth.noise_std": 0.6,
+    "synth.seed": SynthConfig.seed,
+    "synth.regions": SynthConfig.n_regions,
+    "synth.attributes": SynthConfig.n_attributes,
+    "synth.factors": SynthConfig.n_factors,
+    "synth.loading": SynthConfig.loading,
+    "synth.noise_std": SynthConfig.noise_std,
 }
 
 

@@ -80,7 +80,6 @@ class AttributeTable:
     attribute_names: tuple[str, ...]
     region_ids: tuple[str, ...]
     values: np.ndarray
-    units: tuple[str, ...] | None = None
     provenance: tuple[str, ...] = ()
     digest: str | None = None  # SHA-256 of the file it was read from
 

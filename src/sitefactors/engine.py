@@ -22,6 +22,11 @@ from .errors import (
     SingularCorrelationError,
 )
 
+# A correlation matrix whose condition number exceeds CONDITION_LIMIT is not
+# inverted as is; with ridge_fallback on, RIDGE_DELTA is added to its diagonal.
+CONDITION_LIMIT = 1e12
+RIDGE_DELTA = 1e-8
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -29,8 +34,6 @@ class EngineConfig:
     max_iterations: int = 200
     kaiser_threshold: float = 1.0
     ridge_fallback: bool = False
-    ridge_delta: float = 1e-8
-    condition_limit: float = 1e12
     varimax_tolerance: float = 1e-8
     varimax_max_sweeps: int = 100
 
@@ -194,17 +197,17 @@ def _inverse(corr: CorrelationMatrix, config: EngineConfig, stage: str) -> np.nd
     """
     matrix = corr.values
     cond = corr.condition_number
-    if cond <= config.condition_limit:
+    if cond <= CONDITION_LIMIT:
         return np.linalg.inv(matrix), ()
     if not config.ridge_fallback:
         raise SingularCorrelationError(
             f"correlation matrix condition number {cond:.3e} exceeds "
-            f"{config.condition_limit:.1e} during {stage}; enable ridge_fallback "
+            f"{CONDITION_LIMIT:.1e} during {stage}; enable ridge_fallback "
             "to proceed"
         )
-    ridged = matrix + config.ridge_delta * np.eye(matrix.shape[0])
+    ridged = matrix + RIDGE_DELTA * np.eye(matrix.shape[0])
     warning = (
-        f"ridge: added {config.ridge_delta:.1e} to the correlation diagonal "
+        f"ridge: added {RIDGE_DELTA:.1e} to the correlation diagonal "
         f"during {stage} (condition number {cond:.3e})"
     )
     return np.linalg.inv(ridged), (warning,)

@@ -284,11 +284,12 @@ def test_criterion_5_endpoint_ranking_equivalence():
             )
             at_one = score_regions(scores, definition, 1.0)
             at_zero = score_regions(scores, definition, 0.0)
-            assert top_k(at_one, n_regions, "v_score") == top_k(
-                at_one, n_regions, "suitability"
+            ids = scores.region_ids
+            assert top_k(ids, at_one.v_scores, n_regions) == top_k(
+                ids, at_one.suitability, n_regions
             )
-            assert top_k(at_zero, n_regions, "v_score") == top_k(
-                at_zero, n_regions, "attractiveness"
+            assert top_k(ids, at_zero.v_scores, n_regions) == top_k(
+                ids, at_zero.attractiveness, n_regions
             )
 
 

@@ -611,6 +611,28 @@ class TestProvenance:
         assert log == "R03,housing_density,drop-region"
         assert "missing value handled" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flags, expected_code",
+        [
+            ("fit", ["--engine.kaiser_threshold", "100"], 3),
+            # the fixture retains 2 factors, and the built-in definition has 6
+            ("score", [], 5),
+        ],
+    )
+    def test_failing_run_writes_nothing(self, tmp_path, capsys, command, flags, expected_code):
+        source = Path(FIXTURE).read_text().splitlines()
+        source[3] = source[3].replace("12.9", "")
+        data = tmp_path / "holes.csv"
+        data.write_text("\n".join(source) + "\n")
+        out = tmp_path / "out"
+        code = main([
+            command, "--input", str(data), "--out", str(out),
+            "--data.missing_policy", "impute-median", *flags,
+        ])
+        assert code == expected_code
+        assert "missing value handled" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # Setting values the fuzz test draws from: in range, at the edges and beyond.
 FUZZ_SETTINGS = {
@@ -683,6 +705,8 @@ def test_cli_fuzz_keeps_the_exit_contract(case):
             warnings.simplefilter("error")
             with redirect_stdout(out), redirect_stderr(err):
                 code = main(argv)
+        # a run that fails leaves nothing behind, not even the directory
+        assert code == 0 or not (root / "out").exists()
     err = err.getvalue()
     assert code in (0, 2, 3, 4, 5), err
     assert "Traceback" not in err

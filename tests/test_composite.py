@@ -369,17 +369,17 @@ class TestTopK:
     def test_full_ranking_is_permutation(self):
         rng = np.random.default_rng(6)
         regions = self.build(rng.normal(size=9), rng.normal(size=9))
-        ranking = top_k(regions, 9, "v_score")
+        ranking = top_k(regions.region_ids, regions.v_scores, 9)
         assert sorted(rid for rid, _ in ranking) == sorted(regions.region_ids)
 
     def test_ties_break_lexicographically(self):
         regions = self.build([1.0, 1.0, 0.0], [1.0, 1.0, 0.0])
-        ranking = top_k(regions, 2, "suitability")
+        ranking = top_k(regions.region_ids, regions.suitability, 2)
         assert [rid for rid, _ in ranking] == ["r01", "r02"]
 
     def test_fixture_matches_oracle(self, fixture_scores, fixture_definition):
         regions = score_regions(fixture_scores, fixture_definition, 0.5)
-        ranking = top_k(regions, 6, "suitability")
+        ranking = top_k(regions.region_ids, regions.suitability, 6)
         expected = oracle.top_k(
             list(regions.region_ids), regions.suitability, 6
         )
@@ -388,19 +388,18 @@ class TestTopK:
     def test_k_out_of_range(self):
         regions = self.build([1.0, 2.0, 0.5], [0.0, 1.0, 2.0])
         with pytest.raises(KRangeError):
-            top_k(regions, 0, "v_score")
+            top_k(regions.region_ids, regions.v_scores, 0)
         with pytest.raises(KRangeError):
-            top_k(regions, 4, "v_score")
-        with pytest.raises(KRangeError):
-            top_k(regions, 2, "vibes")
+            top_k(regions.region_ids, regions.v_scores, 4)
 
     def test_endpoint_alpha_matches_component_ranking(self):
         rng = np.random.default_rng(14)
         suit, attr = rng.normal(size=(2, 40))
         at_one = self.build(suit, attr, alpha=1.0)
         at_zero = self.build(suit, attr, alpha=0.0)
-        assert top_k(at_one, 40, "v_score") == top_k(at_one, 40, "suitability")
-        assert top_k(at_zero, 40, "v_score") == top_k(at_zero, 40, "attractiveness")
+        ids = at_one.region_ids
+        assert top_k(ids, at_one.v_scores, 40) == top_k(ids, at_one.suitability, 40)
+        assert top_k(ids, at_zero.v_scores, 40) == top_k(ids, at_zero.attractiveness, 40)
 
 
 class TestFactorContributions:

@@ -289,8 +289,9 @@ def test_endpoint_rankings_match_component_rankings(seed):
     k = len(scores.region_ids)
     at_one = score_regions(scores, definition, 1.0)
     at_zero = score_regions(scores, definition, 0.0)
-    assert top_k(at_one, k, "v_score") == top_k(at_one, k, "suitability")
-    assert top_k(at_zero, k, "v_score") == top_k(at_zero, k, "attractiveness")
+    ids = scores.region_ids
+    assert top_k(ids, at_one.v_scores, k) == top_k(ids, at_one.suitability, k)
+    assert top_k(ids, at_zero.v_scores, k) == top_k(ids, at_zero.attractiveness, k)
 
 
 @SETTINGS
@@ -389,12 +390,8 @@ def test_top_k_matches_brute_force_with_ties(pairs, rnd):
     scores = FactorScores(values=np.array(pairs).T, region_ids=tuple(ids))
     regions = score_regions(scores, definition, 0.5)
     k = rnd.randint(1, len(ids))
-    for key, values in (
-        ("suitability", regions.suitability),
-        ("attractiveness", regions.attractiveness),
-        ("v_score", regions.v_scores),
-    ):
-        ranking = top_k(regions, k, key)
+    for values in (regions.suitability, regions.attractiveness, regions.v_scores):
+        ranking = top_k(regions.region_ids, values, k)
         assert [rid for rid, _ in ranking] == oracle.top_k(ids, values, k)
         assert [value for _, value in ranking] == sorted(values, reverse=True)[:k]
 
