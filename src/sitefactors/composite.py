@@ -157,12 +157,15 @@ def load_definition(path) -> CompositeDefinition:
                 f"{path}: entry {label!r} has unknown dimension {entry['dimension']!r}"
             ) from exc
         sign = entry["sign"]
-        if sign not in (-1, 1):
-            raise SchemaError(f"{path}: entry {label!r} sign must be +1 or -1")
+        # JSON true and 1.0 equal 1 in Python; only the integers are signs
+        if type(sign) is not int or sign not in (-1, 1):
+            raise SchemaError(
+                f"{path}: entry {label!r} sign must be the integer 1 or -1, got {sign!r}"
+            )
         labels.append(label)
         assignments.append(
             FactorAssignment(
-                dimension=dimension, sign=int(sign), note=str(entry.get("note", ""))
+                dimension=dimension, sign=sign, note=str(entry.get("note", ""))
             )
         )
     return CompositeDefinition(
@@ -329,7 +332,8 @@ class SweepGrid:
 
     def __post_init__(self):
         for name, grid in (("alphas", self.alphas), ("thetas", self.thetas)):
-            if any(b <= a for a, b in zip(grid, grid[1:])):
+            # written so that a NaN, which compares false, fails it
+            if not all(a < b for a, b in zip(grid, grid[1:])):
                 raise SchemaError(f"sweep {name} must be strictly ascending")
 
 

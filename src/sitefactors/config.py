@@ -201,6 +201,8 @@ class RunConfig:
         thetas = self["sweep.thetas"]
         if not thetas:
             raise SchemaError("sweep.thetas must not be empty")
+        if not all(map(math.isfinite, thetas)):
+            raise SchemaError(f"sweep.thetas must be finite, got {thetas}")
         if any(b <= a for a, b in zip(thetas, thetas[1:])):
             raise SchemaError(f"sweep.thetas must be strictly ascending, got {thetas}")
         if _labels_collide(thetas):

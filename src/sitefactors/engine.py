@@ -48,6 +48,11 @@ class EngineConfig:
             raise SchemaError(
                 f"kaiser_threshold must be positive, got {self.kaiser_threshold}"
             )
+        # under NaN or a negative tolerance the sweeps never stop before the cap
+        if not self.varimax_tolerance >= 0:
+            raise SchemaError(
+                f"varimax_tolerance must be 0 or more, got {self.varimax_tolerance}"
+            )
         if self.varimax_max_sweeps < 1:
             raise SchemaError("varimax_max_sweeps must be at least 1")
 
@@ -337,6 +342,20 @@ def varimax_criterion(loadings) -> float:
     return float(np.sum(np.mean(squared**2, axis=0) - np.mean(squared, axis=0) ** 2))
 
 
+def _pair_waves(m: int) -> list[np.ndarray]:
+    """The cyclic pairs (0, 1), (0, 2), ..., (m - 2, m - 1) in waves of disjoint pairs.
+
+    Pair (p, q) goes in wave p + q - 1, the one after the last waves of p and
+    q, so each factor meets its pairs in the cyclic order and no two pairs of
+    a wave share a factor. Rotations of disjoint factors commute exactly, so
+    a wave run at once gives the bits of its pairs run in turn.
+    """
+    return [
+        np.array([(p, s - p) for p in range(max(0, s - m + 1), (s + 1) // 2)])
+        for s in range(1, 2 * m - 2)
+    ]
+
+
 def varimax(
     loadings,
     tolerance: float = 1e-8,
@@ -345,9 +364,10 @@ def varimax(
     """Varimax rotation by pairwise planar sweeps with Kaiser normalization.
 
     Rows are scaled to unit length (zero rows are left alone), all column
-    pairs are rotated by their criterion-maximizing angle, and sweeping stops
-    once a full sweep improves the criterion by less than `tolerance`. The
-    rotation matrix is accumulated so the returned loadings are exactly
+    pairs are rotated by their criterion-maximizing angle in the cyclic
+    order, a wave of disjoint pairs at a time, and sweeping stops once a
+    full sweep improves the criterion by less than `tolerance`. The rotation
+    matrix is accumulated so the returned loadings are exactly
     `loadings @ rotation`.
     """
     loadings = np.asarray(loadings, dtype=float)
@@ -364,56 +384,43 @@ def varimax(
     norms = np.sqrt(np.sum(loadings**2, axis=1))
     scale = np.where(norms > 0, norms, 1.0)
     # factor-major state: row p holds factor p of the normalized loadings and
-    # row p of the rotation, transposed, side by side, so one basic-slice
-    # view per pair rotates both; the criterion is taken on a C-ordered
-    # (n, m) copy, since its reductions round by memory order
+    # row p of the rotation, transposed, side by side, so one gather per wave
+    # takes both; the criterion is taken on a C-ordered (n, m) copy, since
+    # its reductions round by memory order
     state = np.zeros((m, n + m))
     working, turned = state[:, :n], state[:, n:]
     working[...] = (loadings / scale[:, None]).T
     np.fill_diagonal(turned, 1.0)
-    # within block p, row q > p changes only at its own pair (p, q), so its
-    # square and double taken at the block start hold until that pair;
-    # x * (2y) rounds the same real product as (2x) * y, doubling being exact
-    squares, doubled = np.empty((m, n)), np.empty((m, n))
-    square_rows, double_rows = list(squares), list(doubled)
-    blocks = [[state[p : q + 1 : q - p] for q in range(p + 1, m)] for p in range(m - 1)]
-    uv = np.empty((2, n))
-    u, v = uv
-    rotated = np.empty((2, n + m))
-    plane = np.empty((2, 2))
-    entries = plane.reshape(4)
-    subtract, multiply, sum_rows = np.subtract, np.multiply, np.add.reduce
-    arctan2, cos, sin, matmul = np.arctan2, np.cos, np.sin, np.matmul
+    waves = _pair_waves(m)
     history = [varimax_criterion(working.T.copy())]
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        for p, pairs in enumerate(blocks):
-            multiply(working[p:], working[p:], out=squares[p:])
-            multiply(working[p + 1 :], 2.0, out=doubled[p + 1 :])
-            x, x_sq = working[p], square_rows[p]
-            for q, pair in enumerate(pairs, p + 1):
-                subtract(x_sq, square_rows[q], out=u)
-                multiply(x, double_rows[q], out=v)
-                # one reduce sums each row of uv as u.sum() and v.sum() do;
-                # ndarray.dot is np.dot's ddot without its dispatch; Python
-                # floats do the same IEEE arithmetic at less call cost, and
-                # their ** calls libm's pow as numpy's scalars do (x * x
-                # differs from pow(x, 2) in the last bit now and then)
-                u_sum, v_sum = sum_rows(uv, 1).tolist()
-                numer = 2.0 * float(u.dot(v)) - 2.0 * u_sum * v_sum / n
-                denom = float(u.dot(u)) - float(v.dot(v)) - (u_sum**2 - v_sum**2) / n
-                angle = 0.25 * float(arctan2(numer, denom))
-                if angle == 0.0:
-                    continue
-                entries[0] = entries[3] = cos(angle)
-                entries[1] = sine = sin(angle)
-                entries[2] = -sine
-                # numpy copies an input that overlaps `out`; a spare output
-                # and one copy back cost less
-                matmul(plane, pair, out=rotated)
-                pair[...] = rotated
-                multiply(x, x, out=x_sq)
+        for pairs in waves:
+            block = state[pairs]
+            x, y = block[:, 0, :n], block[:, 1, :n]
+            # each pair rounds as it would rotated alone with scalar steps:
+            # x * (2y) as (2x) * y, doubling being exact; each row sum as
+            # u.sum(); each stacked (1, n) @ (n, 1) product as the ddot of
+            # u.dot(v); and Python's ** as libm's pow, from which numpy's
+            # square and power differ in the last bit now and then
+            u = x * x - y * y
+            v = x * (y * 2.0)
+            u_sum, v_sum = u.sum(1), v.sum(1)
+            uv, uu, vv = (
+                (a[:, None] @ b[..., None]).ravel() for a, b in ((u, v), (u, u), (v, v))
+            )
+            squares = [a**2 - b**2 for a, b in zip(u_sum.tolist(), v_sum.tolist())]
+            numer = 2.0 * uv - 2.0 * u_sum * v_sum / n
+            denom = uu - vv - np.array(squares) / n
+            angle = 0.25 * np.arctan2(numer, denom)
+            # a pair at angle 0 keeps its rows as they are, signed zeros too
+            turning = angle != 0.0
+            if not turning.all():
+                pairs, block, angle = pairs[turning], block[turning], angle[turning]
+            cos, sin = np.cos(angle), np.sin(angle)
+            planes = np.stack((cos, sin, -sin, cos), 1).reshape(-1, 2, 2)
+            state[pairs] = planes @ block
         history.append(varimax_criterion(working.T.copy()))
         if history[-1] - history[-2] < tolerance:
             converged = True

@@ -439,6 +439,25 @@ class TestErrorContract:
         assert key.partition(".")[2] in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_bad_varimax_tolerance_exits_2(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        code = main([
+            "fit", "--input", FIXTURE, "--out", str(out),
+            "--engine.varimax_tolerance", value,
+        ])
+        assert "varimax_tolerance" in self.assert_one_error(capsys, code, 2)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("thetas", ["1,nan,0.5", "nan", "1,inf"])
+    def test_non_finite_thetas_exit_2(self, tmp_path, capsys, thetas):
+        out = tmp_path / "out"
+        code = main([
+            "sweep", "--input", FIXTURE, "--out", str(out), "--sweep.thetas", thetas,
+        ])
+        assert "sweep.thetas must be finite" in self.assert_one_error(capsys, code, 2)
+        assert not out.exists()
+
     def test_nonpositive_kaiser_threshold_exits_2(self, tmp_path, capsys):
         code = main([
             "fit", "--input", FIXTURE, "--out", str(tmp_path),

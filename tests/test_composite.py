@@ -138,6 +138,13 @@ class TestDefinitionFile:
         with pytest.raises(SchemaError):
             load_definition(path)
 
+    @pytest.mark.parametrize("sign", [True, 1.0, -1.0, "1"])
+    def test_sign_must_be_an_integer(self, tmp_path, sign):
+        path = tmp_path / "definition.json"
+        path.write_text(json.dumps({"factor_1": {"dimension": "suitability", "sign": sign}}))
+        with pytest.raises(SchemaError, match="entry 'factor_1' sign must be the integer"):
+            load_definition(path)
+
 
 class TestVScore:
     def test_endpoints(self):
@@ -319,6 +326,16 @@ class TestSweep:
             frozen.SWEEP_THETAS,
         )
         assert np.array_equal(grid.counts, reference)
+
+    @pytest.mark.parametrize("thetas", [[1.0, np.nan, 0.5], [np.nan, 1.0], [1.0, np.nan]])
+    def test_nan_breaks_the_ascending_order(self, thetas):
+        composites = CompositeScores(
+            region_ids=("a",),
+            suitability=np.array([2.0]),
+            attractiveness=np.array([2.0]),
+        )
+        with pytest.raises(SchemaError, match="strictly ascending"):
+            sweep(composites, [0.5], thetas)
 
     def test_counts_monotone_in_theta(self):
         rng = np.random.default_rng(4)

@@ -426,6 +426,8 @@ class TestFitFactorModel:
             ("kaiser_threshold", -5.0),
             ("kaiser_threshold", float("nan")),
             ("varimax_max_sweeps", 0),
+            ("varimax_tolerance", float("nan")),
+            ("varimax_tolerance", -1.0),
             ("epsilon", 0.0),
             ("epsilon", float("nan")),
             ("max_iterations", 0),

@@ -42,6 +42,7 @@ from sitefactors import (
 )
 from sitefactors.composite import CompositeScores, _rank_normalize
 from sitefactors.datamodel import _parse_cell
+from sitefactors.engine import _pair_waves
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -87,6 +88,23 @@ def reference_loadings(draw):
     zero_rows = draw(st.lists(st.integers(0, n - 1), max_size=3))
     loads[zero_rows] = 0.0
     return loads
+
+
+def test_varimax_waves_keep_the_cyclic_pair_order():
+    # the rotation runs each wave at once and still equals the reference's
+    # pair-by-pair sweep, because pairs of a wave share no factor and every
+    # factor meets its pairs in the cyclic order
+    for m in range(1, 81):
+        waves = [[tuple(pair) for pair in wave.tolist()] for wave in _pair_waves(m)]
+        cyclic = [(p, q) for p in range(m - 1) for q in range(p + 1, m)]
+        run = [pair for wave in waves for pair in wave]
+        assert sorted(run) == cyclic
+        for wave in waves:
+            factors = [f for pair in wave for f in pair]
+            assert len(set(factors)) == len(factors)
+        for f in range(m):
+            assert [x for x in run if f in x] == [x for x in cyclic if f in x]
+        assert len(waves) == (2 * m - 3 if m >= 2 else 0)
 
 
 @settings(max_examples=30, deadline=None)
