@@ -1,9 +1,9 @@
 """Command-line front end: describe / fit / score / sweep / synth.
 
-Exit codes are a stable contract: 0 success, 2 schema or data errors,
-3 no factor retained, 4 singular correlation matrix, 5 composite or range
-errors. Non-convergence is not an error; it lands in the manifest and on
-stderr as a warning.
+Exit codes are a stable contract: 0 on success, 2 on an I/O error, and
+otherwise the `exit_code` of the package error raised (see `errors`).
+Non-convergence is not an error; it lands in the manifest and on stderr as
+a warning.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .composite import (
+    TypologyConfig,
     composite_scores,
     default_definition,
     load_definition,
@@ -22,23 +23,10 @@ from .composite import (
     top_k,
     v_score,
 )
-from .config import KEY_TYPES, RunConfig, load_config_file
-from .datamodel import describe, load_table, standardize
-from .engine import dominant_attributes, factor_scores, fit_factor_model
-from .errors import (
-    AlphaRangeError,
-    DegenerateDataError,
-    DimensionMismatchError,
-    IncompleteDefinitionError,
-    KRangeError,
-    NoFactorRetainedError,
-    ParseError,
-    SchemaError,
-    SiteFactorsError,
-    SingularCorrelationError,
-    ZeroDenominatorError,
-    ZeroVarianceError,
-)
+from .config import KEYS, RunConfig, load_config_file
+from .datamodel import IngestionConfig, describe, load_table, standardize
+from .engine import EngineConfig, dominant_attributes, factor_scores, fit_factor_model
+from .errors import ParseError, SiteFactorsError
 from .reports import (
     grid_label,
     write_eigenvalues_csv,
@@ -52,29 +40,11 @@ from .reports import (
     write_top_csv,
     write_weights_csv,
 )
-from .synth import write_synth_csv
+from .synth import SynthConfig, write_synth_csv
 
-EXIT_CODES = {
-    ParseError: 2,
-    SchemaError: 2,
-    DegenerateDataError: 2,
-    ZeroVarianceError: 2,
-    NoFactorRetainedError: 3,
-    SingularCorrelationError: 4,
-    DimensionMismatchError: 5,
-    IncompleteDefinitionError: 5,
-    AlphaRangeError: 5,
-    ZeroDenominatorError: 5,
-    KRangeError: 5,
-    OSError: 2,
-}
-
-
-def _exit_code(exc: Exception) -> int:
-    for klass, code in EXIT_CODES.items():
-        if isinstance(exc, klass):
-            return code
-    return 1
+# environment locations, not computation parameters: visible flags, and
+# left out of the manifest
+LOCATIONS = ("input", "out", "quiet")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,17 +71,16 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--alpha", help="suitability weight in [0, 1]")
         if name == "synth":
             cmd.add_argument("--seed", help="generator seed")
-        for key in KEY_TYPES:
-            if key in ("input", "out", "quiet"):
-                continue
-            cmd.add_argument(f"--{key}", dest=key, help=argparse.SUPPRESS)
+        for key in KEYS:
+            if key not in LOCATIONS:
+                cmd.add_argument(f"--{key}", dest=key, help=argparse.SUPPRESS)
     return parser
 
 
 def _resolve_config(args) -> RunConfig:
     file_values = load_config_file(args.config) if args.config else {}
     overrides = {}
-    for key in KEY_TYPES:
+    for key in KEYS:
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
@@ -136,7 +105,7 @@ def _input_path(config: RunConfig) -> Path:
 
 def _load(config: RunConfig):
     """The input table, and its provenance log if a cell was handled."""
-    table = load_table(_input_path(config), config.ingestion())
+    table = load_table(_input_path(config), config.settings(IngestionConfig))
     _warn(f"missing value handled: {line}" for line in table.provenance)
     artifacts = {"provenance.log": (write_provenance, table.provenance)}
     return table, artifacts if table.provenance else {}
@@ -154,7 +123,7 @@ def _fit(config: RunConfig):
     """Shared fit stage: table -> standardized matrix -> canonical model."""
     table, artifacts = _load(config)
     matrix = standardize(table)
-    model = fit_factor_model(matrix, config.engine())
+    model = fit_factor_model(matrix, config.settings(EngineConfig))
     dominant = dominant_attributes(model.rotated_loadings)
     warnings = list(model.warnings) + list(dominant.warnings)
     _warn(warnings)
@@ -164,13 +133,10 @@ def _fit(config: RunConfig):
 
 
 def _manifest(config: RunConfig, table, model, warnings) -> dict:
-    # input/out/quiet are environment locations, not computation parameters;
     # the digest pins the input content, so reruns into any directory of the
     # same data and settings produce byte-identical artifacts
     snapshot = {
-        key: value
-        for key, value in config.snapshot().items()
-        if key not in ("input", "out", "quiet")
+        key: value for key, value in config.snapshot().items() if key not in LOCATIONS
     }
     return {
         "config": snapshot,
@@ -212,7 +178,7 @@ def cmd_score(config: RunConfig):
     definition = _definition(config, model.n_factors)
     scores = factor_scores(model.scoring_weights, matrix)
     alpha = config["score.alpha"]
-    regions = score_regions(scores, definition, alpha, config.typology())
+    regions = score_regions(scores, definition, alpha, config.settings(TypologyConfig))
     artifacts["scores.csv"] = (write_scores_csv, regions)
     k = min(config["score.top_k"], regions.n_regions)
     for key in ("suitability", "attractiveness"):
@@ -243,7 +209,7 @@ def cmd_sweep(config: RunConfig):
 
 
 def cmd_synth(config: RunConfig):
-    synth = config.synth()
+    synth = config.settings(SynthConfig)
     path = Path(config["out"]) / "synthetic.csv"
     summary = (
         f"wrote {path} ({synth.n_attributes} attributes x {synth.n_regions} regions)"
@@ -275,7 +241,7 @@ def main(argv=None) -> int:
         return 0
     except (SiteFactorsError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return 2 if isinstance(exc, OSError) else exc.exit_code
 
 
 if __name__ == "__main__":

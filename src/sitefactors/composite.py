@@ -46,8 +46,9 @@ class FactorAssignment:
     note: str = ""
 
     def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise SchemaError(f"factor sign must be +1 or -1, got {self.sign}")
+        # True and 1.0 equal 1 in Python; only the integers are signs
+        if type(self.sign) is not int or self.sign not in (-1, 1):
+            raise SchemaError(f"sign must be the integer 1 or -1, got {self.sign!r}")
 
 
 @dataclass(frozen=True)
@@ -156,18 +157,14 @@ def load_definition(path) -> CompositeDefinition:
             raise SchemaError(
                 f"{path}: entry {label!r} has unknown dimension {entry['dimension']!r}"
             ) from exc
-        sign = entry["sign"]
-        # JSON true and 1.0 equal 1 in Python; only the integers are signs
-        if type(sign) is not int or sign not in (-1, 1):
-            raise SchemaError(
-                f"{path}: entry {label!r} sign must be the integer 1 or -1, got {sign!r}"
+        try:
+            assignment = FactorAssignment(
+                dimension=dimension, sign=entry["sign"], note=str(entry.get("note", ""))
             )
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: entry {label!r} {exc}") from exc
         labels.append(label)
-        assignments.append(
-            FactorAssignment(
-                dimension=dimension, sign=sign, note=str(entry.get("note", ""))
-            )
-        )
+        assignments.append(assignment)
     return CompositeDefinition(
         factor_labels=tuple(labels), assignments=tuple(assignments)
     )
@@ -225,22 +222,13 @@ def composite_scores(
     """
     definition = definition.for_factors(scores.n_factors)
     signed = definition.signs[:, None] * scores.values
-    suit_idx = definition.indices(Dimension.SUITABILITY)
-    attr_idx = definition.indices(Dimension.ATTRACTIVENESS)
-    suitability = (
-        signed[list(suit_idx), :].sum(axis=0)
-        if suit_idx
-        else np.zeros(scores.n_regions)
-    )
-    attractiveness = (
-        signed[list(attr_idx), :].sum(axis=0)
-        if attr_idx
-        else np.zeros(scores.n_regions)
-    )
+    suit_idx = list(definition.indices(Dimension.SUITABILITY))
+    attr_idx = list(definition.indices(Dimension.ATTRACTIVENESS))
+    # a dimension without factors sums an empty selection: R positive zeros
     return CompositeScores(
         region_ids=scores.region_ids,
-        suitability=suitability,
-        attractiveness=attractiveness,
+        suitability=signed[suit_idx, :].sum(axis=0),
+        attractiveness=signed[attr_idx, :].sum(axis=0),
     )
 
 
@@ -343,9 +331,6 @@ def sweep(scores: CompositeScores, alphas, thetas) -> SweepGrid:
     thetas = [float(t) for t in thetas]
     if not alphas or not thetas:
         raise KRangeError("sweep needs non-empty alpha and theta grids")
-    for a in alphas:
-        if not 0.0 <= a <= 1.0:
-            raise AlphaRangeError(f"sweep alpha {a} outside [0, 1]")
     n_regions = len(scores.region_ids)
     counts = np.zeros((len(thetas), len(alphas)), dtype=int)
     for ai, alpha in enumerate(alphas):

@@ -1,7 +1,8 @@
 """Run configuration: flat dotted keys, JSON file, CLI flags win.
 
-Every key in KEY_TYPES can appear in the config file and as a `--<key>`
-command-line flag; precedence is defaults < file < flags.
+Every key in KEYS can appear in the config file and as a `--<key>`
+command-line flag; precedence is defaults < file < flags. A file value is
+read by the same rule as the text of its flag.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .composite import TypologyConfig
 from .datamodel import IngestionConfig
@@ -20,8 +22,6 @@ from .synth import SynthConfig
 
 
 def _parse_bool(text):
-    if isinstance(text, bool):
-        return text
     lowered = str(text).strip().lower()
     if lowered in ("true", "1", "yes", "on"):
         return True
@@ -31,58 +31,37 @@ def _parse_bool(text):
 
 
 def _parse_floats(text):
-    if isinstance(text, (list, tuple)):
-        return tuple(float(x) for x in text)
+    # each element of a JSON list is read like the text between two commas
+    parts = text if isinstance(text, (list, tuple)) else text.split(",")
     try:
-        return tuple(float(part) for part in str(text).split(",") if part.strip())
+        return tuple(float(str(part)) for part in parts if str(part).strip())
     except ValueError as exc:
         raise SchemaError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
-KEY_TYPES = {
-    "input": str,
-    "out": str,
-    "quiet": _parse_bool,
-    "data.missing_policy": str,
-    "engine.epsilon": float,
-    "engine.max_iterations": int,
-    "engine.kaiser_threshold": float,
-    "engine.ridge_fallback": _parse_bool,
-    "engine.varimax_tolerance": float,
-    "composite.definition": str,
-    "composite.binary": _parse_bool,
-    "composite.balance_band": float,
-    "composite.bias_band": float,
-    "score.alpha": float,
-    "score.top_k": int,
-    "sweep.alpha_start": float,
-    "sweep.alpha_stop": float,
-    "sweep.alpha_step": float,
-    "sweep.thetas": _parse_floats,
-    "sweep.top_k": int,
-    "synth.seed": int,
-    "synth.regions": int,
-    "synth.attributes": int,
-    "synth.factors": int,
-    "synth.loading": float,
-    "synth.noise_std": float,
-}
+class Owned(NamedTuple):
+    """A key owned by a settings class, which keeps its default and checks."""
 
-# The settings classes own their defaults; the other keys have theirs here.
-DEFAULTS = {
+    owner: type
+    name: str
+
+
+# A key a settings class owns names its field; any other key gives its own
+# default. The owners are built in the order they first appear.
+KEYS = {
     "input": "",
     "out": "out",
     "quiet": False,
-    "data.missing_policy": IngestionConfig.missing_policy,
-    "engine.epsilon": EngineConfig.epsilon,
-    "engine.max_iterations": EngineConfig.max_iterations,
-    "engine.kaiser_threshold": EngineConfig.kaiser_threshold,
-    "engine.ridge_fallback": EngineConfig.ridge_fallback,
-    "engine.varimax_tolerance": EngineConfig.varimax_tolerance,
+    "data.missing_policy": Owned(IngestionConfig, "missing_policy"),
+    "engine.epsilon": Owned(EngineConfig, "epsilon"),
+    "engine.max_iterations": Owned(EngineConfig, "max_iterations"),
+    "engine.kaiser_threshold": Owned(EngineConfig, "kaiser_threshold"),
+    "engine.ridge_fallback": Owned(EngineConfig, "ridge_fallback"),
+    "engine.varimax_tolerance": Owned(EngineConfig, "varimax_tolerance"),
     "composite.definition": "",
     "composite.binary": False,
-    "composite.balance_band": TypologyConfig.balance_band,
-    "composite.bias_band": TypologyConfig.bias_band,
+    "composite.balance_band": Owned(TypologyConfig, "balance_band"),
+    "composite.bias_band": Owned(TypologyConfig, "bias_band"),
     "score.alpha": 0.5,
     "score.top_k": 10,
     "sweep.alpha_start": 0.0,
@@ -90,13 +69,29 @@ DEFAULTS = {
     "sweep.alpha_step": 0.2,
     "sweep.thetas": (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
     "sweep.top_k": 30,
-    "synth.seed": SynthConfig.seed,
-    "synth.regions": SynthConfig.n_regions,
-    "synth.attributes": SynthConfig.n_attributes,
-    "synth.factors": SynthConfig.n_factors,
-    "synth.loading": SynthConfig.loading,
-    "synth.noise_std": SynthConfig.noise_std,
+    "synth.seed": Owned(SynthConfig, "seed"),
+    "synth.regions": Owned(SynthConfig, "n_regions"),
+    "synth.attributes": Owned(SynthConfig, "n_attributes"),
+    "synth.factors": Owned(SynthConfig, "n_factors"),
+    "synth.loading": Owned(SynthConfig, "loading"),
+    "synth.noise_std": Owned(SynthConfig, "noise_std"),
 }
+
+OWNED = {key: entry for key, entry in KEYS.items() if isinstance(entry, Owned)}
+
+DEFAULTS = {
+    key: getattr(entry.owner, entry.name) if key in OWNED else entry
+    for key, entry in KEYS.items()
+}
+
+
+def _parser(default):
+    """A key's parser follows from the type of its default."""
+    if isinstance(default, bool):
+        return _parse_bool
+    if isinstance(default, tuple):
+        return _parse_floats
+    return type(default)
 
 
 def load_config_file(path) -> dict:
@@ -108,7 +103,7 @@ def load_config_file(path) -> dict:
         raise SchemaError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(raw) - set(KEY_TYPES))
+    unknown = sorted(set(raw) - set(KEYS))
     if unknown:
         raise SchemaError(f"{path}: unknown config keys {unknown}")
     return raw
@@ -130,12 +125,15 @@ class RunConfig:
         merged = dict(DEFAULTS)
         for source in (file_values or {}, overrides or {}):
             for key, value in source.items():
-                if key not in KEY_TYPES:
+                if key not in KEYS:
                     raise SchemaError(f"unknown config key {key!r}")
                 if value is None:
                     continue
+                # a JSON value is read as the flag text it stands for, so
+                # 2.5 is no int and true no number
+                text = value if isinstance(value, (list, tuple)) else str(value)
                 try:
-                    merged[key] = KEY_TYPES[key](value)
+                    merged[key] = _parser(DEFAULTS[key])(text)
                 except (TypeError, ValueError) as exc:
                     raise SchemaError(f"bad value for {key!r}: {value!r}") from exc
         config = cls(values=merged)
@@ -145,40 +143,16 @@ class RunConfig:
     def __getitem__(self, key):
         return self.values[key]
 
-    def ingestion(self) -> IngestionConfig:
-        return IngestionConfig(missing_policy=self["data.missing_policy"])
-
-    def engine(self) -> EngineConfig:
-        return EngineConfig(
-            epsilon=self["engine.epsilon"],
-            max_iterations=self["engine.max_iterations"],
-            kaiser_threshold=self["engine.kaiser_threshold"],
-            ridge_fallback=self["engine.ridge_fallback"],
-            varimax_tolerance=self["engine.varimax_tolerance"],
-        )
-
-    def typology(self) -> TypologyConfig:
-        return TypologyConfig(
-            balance_band=self["composite.balance_band"],
-            bias_band=self["composite.bias_band"],
-        )
-
-    def synth(self) -> SynthConfig:
-        return SynthConfig(
-            seed=self["synth.seed"],
-            n_attributes=self["synth.attributes"],
-            n_regions=self["synth.regions"],
-            n_factors=self["synth.factors"],
-            loading=self["synth.loading"],
-            noise_std=self["synth.noise_std"],
+    def settings(self, cls):
+        """The `cls` settings object, built from the keys it owns."""
+        return cls(
+            **{entry.name: self[key] for key, entry in OWNED.items() if entry.owner is cls}
         )
 
     def validate(self) -> None:
         # the settings classes check their own keys, for every subcommand
-        self.ingestion()
-        self.engine()
-        self.typology()
-        self.synth()
+        for cls in dict.fromkeys(entry.owner for entry in OWNED.values()):
+            self.settings(cls)
         start = self["sweep.alpha_start"]
         stop = self["sweep.alpha_stop"]
         step = self["sweep.alpha_step"]

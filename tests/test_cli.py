@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 import expected_small4x6 as frozen
 import oracle
 import sitefactors
-from sitefactors import engine
+from sitefactors import engine, errors
 from sitefactors.cli import main
-from sitefactors.config import RunConfig
+from sitefactors.config import DEFAULTS, KEYS, RunConfig
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "small4x6.csv")
 
@@ -386,6 +386,128 @@ class TestConfigPrecedence:
         ])
         assert code == 2
         assert "epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("score.top_k", 2.5, "'score.top_k'"),
+            ("score.alpha", True, "'score.alpha'"),
+            ("engine.max_iterations", 3.9, "'engine.max_iterations'"),
+            ("synth.seed", 7.0, "'synth.seed'"),
+            ("sweep.thetas", [1, True], "expected comma-separated numbers"),
+        ],
+    )
+    def test_file_values_follow_the_flag_rules(self, tmp_path, capsys, key, value, message):
+        # 2.5 is no int and true no number, in a file as on the command line
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        code = main(["fit", "--config", str(config_path), "--input", FIXTURE,
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            err.strip()
+        ]
+        assert message in err
+        assert not out.exists()
+
+    def test_file_values_give_the_manifest_of_their_flags(self, tmp_path):
+        values = {
+            "engine.epsilon": 1e-6,
+            "engine.max_iterations": 50,
+            "engine.kaiser_threshold": 1,
+            "engine.ridge_fallback": 0,
+            "composite.binary": "yes",
+            "score.alpha": 1,
+            "sweep.thetas": [1, 2.5],
+            "sweep.alpha_step": "0.25",
+            "synth.loading": -0.0,
+        }
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(values))
+        flags = [
+            f"--{key}={','.join(map(str, value)) if isinstance(value, list) else value}"
+            for key, value in values.items()
+        ]
+        from_file, from_flags = tmp_path / "file", tmp_path / "flags"
+        assert main(["fit", "--config", str(config_path), "--input", FIXTURE,
+                     "--out", str(from_file)]) == 0
+        assert main(["fit", "--input", FIXTURE, "--out", str(from_flags), *flags]) == 0
+        manifest = (from_file / "manifest.json").read_bytes()
+        assert manifest == (from_flags / "manifest.json").read_bytes()
+        config = json.loads(manifest)["config"]
+        assert config["engine.kaiser_threshold"] == 1.0
+        assert config["engine.ridge_fallback"] is False
+        assert config["composite.binary"] is True
+        assert config["sweep.thetas"] == [1.0, 2.5]
+
+
+# The computation settings a run records; `input`, `out` and `quiet` are where
+# it runs, not what it computes.
+MANIFEST_KEYS = [
+    "data.missing_policy",
+    "engine.epsilon",
+    "engine.max_iterations",
+    "engine.kaiser_threshold",
+    "engine.ridge_fallback",
+    "engine.varimax_tolerance",
+    "composite.definition",
+    "composite.binary",
+    "composite.balance_band",
+    "composite.bias_band",
+    "score.alpha",
+    "score.top_k",
+    "sweep.alpha_start",
+    "sweep.alpha_stop",
+    "sweep.alpha_step",
+    "sweep.thetas",
+    "sweep.top_k",
+    "synth.seed",
+    "synth.regions",
+    "synth.attributes",
+    "synth.factors",
+    "synth.loading",
+    "synth.noise_std",
+]
+
+
+class TestKeyTable:
+    def test_manifest_lists_exactly_the_settings(self, tmp_path):
+        # a library-only field such as EngineConfig.varimax_max_sweeps is no key
+        assert main(["fit", "--input", FIXTURE, "--out", str(tmp_path), "--quiet"]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert list(manifest["config"]) == sorted(MANIFEST_KEYS)
+        assert sorted(KEYS) == sorted([*MANIFEST_KEYS, "input", "out", "quiet"])
+
+    @pytest.mark.parametrize("key", sorted(KEYS))
+    def test_default_as_flag_text_resolves_to_the_default(self, key):
+        default = DEFAULTS[key]
+        text = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+        resolved = RunConfig.resolve(overrides={key: text})[key]
+        assert resolved == default
+        assert type(resolved) is type(default)
+
+    def test_exit_codes_match_the_readme_table(self):
+        readme = {
+            "ParseError": 2,
+            "SchemaError": 2,
+            "DegenerateDataError": 2,
+            "ZeroVarianceError": 2,
+            "NoFactorRetainedError": 3,
+            "SingularCorrelationError": 4,
+            "DimensionMismatchError": 5,
+            "IncompleteDefinitionError": 5,
+            "AlphaRangeError": 5,
+            "ZeroDenominatorError": 5,
+            "KRangeError": 5,
+        }
+        declared = {
+            klass.__name__: klass.exit_code
+            for klass in errors.SiteFactorsError.__subclasses__()
+        }
+        assert declared == readme
+        assert errors.SiteFactorsError.exit_code == 1
 
 
 class TestErrorContract:

@@ -105,9 +105,23 @@ class TestCompositeScores:
         with pytest.raises(IncompleteDefinitionError):
             default_definition(4)
 
+    def test_every_factor_suitability_leaves_attractiveness_zero(self):
+        values = np.random.default_rng(3).normal(size=(3, 7))
+        signs = [1, -1, 1]
+        result = composite_scores(
+            scores_from(values), simple_definition(3, suit_idx=(0, 1, 2), signs=signs)
+        )
+        suit, attr = oracle.composite_scores(values, [0, 1, 2], [], signs)
+        assert_allclose(result.suitability, suit, atol=1e-10)
+        assert_allclose(result.attractiveness, attr, atol=0)
+        assert np.array_equal(result.attractiveness, np.zeros(7))
+        assert not np.signbit(result.attractiveness).any()
+
     def test_signs_must_be_unit(self):
-        with pytest.raises(SchemaError):
-            FactorAssignment(dimension=Dimension.SUITABILITY, sign=2)
+        # True and 1.0 compare equal to 1, but only the integers are signs
+        for sign in (2, True, 1.0, -1.0):
+            with pytest.raises(SchemaError):
+                FactorAssignment(dimension=Dimension.SUITABILITY, sign=sign)
 
 
 class TestDefinitionFile:
@@ -365,6 +379,8 @@ class TestSweep:
         )
         with pytest.raises(AlphaRangeError):
             sweep(composites, [0.0, 1.2], [1.0])
+        with pytest.raises(AlphaRangeError):
+            sweep(composites, [0.0, float("nan")], [1.0])
 
     def test_unsorted_grids_rejected(self):
         composites = CompositeScores(
