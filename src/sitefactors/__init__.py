@@ -38,7 +38,6 @@ from .datamodel import (
     standardize,
 )
 from .engine import (
-    CommunalityVector,
     CorrelationMatrix,
     DominantAttributeMap,
     EngineConfig,

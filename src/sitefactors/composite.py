@@ -140,9 +140,11 @@ def default_definition(n_factors: int) -> CompositeDefinition:
 def load_definition(path) -> CompositeDefinition:
     """Read a JSON mapping of factor label -> {dimension, sign[, note]}."""
     path = Path(path)
+    # besides malformed JSON, ValueError covers bytes that are not UTF-8 and
+    # integers longer than Python's int-string digit limit
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise SchemaError(f"cannot read composite definition {path}: {exc}") from exc
     if not isinstance(raw, dict) or not raw:
         raise SchemaError(f"{path}: expected a non-empty JSON object")

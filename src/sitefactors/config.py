@@ -97,9 +97,11 @@ def _parser(default):
 def load_config_file(path) -> dict:
     """A JSON object of dotted keys; unknown keys are rejected."""
     path = Path(path)
+    # besides malformed JSON, ValueError covers bytes that are not UTF-8 and
+    # integers longer than Python's int-string digit limit
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise SchemaError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: config must be a JSON object")
@@ -130,8 +132,13 @@ class RunConfig:
                 if value is None:
                     continue
                 # a JSON value is read as the flag text it stands for, so
-                # 2.5 is no int and true no number
-                text = value if isinstance(value, (list, tuple)) else str(value)
+                # 2.5 is no int and true no number; a list stands for the
+                # comma-separated text of a tuple key only
+                listed = isinstance(value, (list, tuple))
+                takes_list = isinstance(DEFAULTS[key], tuple)
+                if isinstance(value, dict) or (listed and not takes_list):
+                    raise SchemaError(f"bad value for {key!r}: {value!r}")
+                text = value if listed else str(value)
                 try:
                     merged[key] = _parser(DEFAULTS[key])(text)
                 except (TypeError, ValueError) as exc:

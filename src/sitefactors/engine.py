@@ -26,6 +26,8 @@ from .errors import (
 # inverted as is; with ridge_fallback on, RIDGE_DELTA is added to its diagonal.
 CONDITION_LIMIT = 1e12
 RIDGE_DELTA = 1e-8
+# Varimax stops after this many sweeps even if the criterion still improves.
+VARIMAX_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,6 @@ class EngineConfig:
     kaiser_threshold: float = 1.0
     ridge_fallback: bool = False
     varimax_tolerance: float = 1e-8
-    varimax_max_sweeps: int = 100
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -53,8 +54,6 @@ class EngineConfig:
             raise SchemaError(
                 f"varimax_tolerance must be 0 or more, got {self.varimax_tolerance}"
             )
-        if self.varimax_max_sweeps < 1:
-            raise SchemaError("varimax_max_sweeps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -81,20 +80,6 @@ class CorrelationMatrix:
 
 
 @dataclass(frozen=True)
-class CommunalityVector:
-    """Communality estimates at a given refinement step (clamped to [0, 1])."""
-
-    values: np.ndarray
-    iteration_index: int
-    warnings: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        values.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class PafStep:
     """Loadings and updated communalities produced by one refinement pass."""
 
@@ -111,8 +96,9 @@ class FactorModel:
     retention rule saw; variance percentages derive from them), while
     `final_eigenvalues`/`eigenvectors`/`adjusted_diagonal` describe the last
     eigendecomposition, kept so the residual of that decomposition can be
-    audited. Rotation-related fields are None until the rotation and scoring
-    stages fill them in.
+    audited; `communalities` are the last pass's estimates, read-only.
+    Rotation-related fields are None until the rotation and scoring stages
+    fill them in.
     """
 
     attribute_names: tuple[str, ...]
@@ -121,7 +107,7 @@ class FactorModel:
     final_eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     adjusted_diagonal: np.ndarray
-    communalities: CommunalityVector
+    communalities: np.ndarray
     iterations_used: int
     converged: bool
     variance_percent: np.ndarray
@@ -220,31 +206,23 @@ def _inverse(corr: CorrelationMatrix, config: EngineConfig, stage: str) -> np.nd
 
 def initial_communalities(
     corr: CorrelationMatrix, config: EngineConfig = EngineConfig()
-) -> CommunalityVector:
-    """Squared multiple correlations: 1 - 1/diag(inverse correlation)."""
+):
+    """Squared multiple correlations: 1 - 1/diag(inverse correlation).
+
+    Returns (values, warnings), the values clamped into [0, 1].
+    """
     inverse, warnings = _inverse(corr, config, "initial communalities")
     values = 1.0 - 1.0 / np.diag(inverse)
     clamped = np.clip(values, 0.0, 1.0)
-    extra = ()
     if np.any(clamped != values):
-        extra = ("heywood: initial communalities clamped into [0, 1]",)
-    return CommunalityVector(
-        values=clamped, iteration_index=0, warnings=warnings + extra
-    )
-
-
-def _sorted_eigh(matrix: np.ndarray):
-    """Symmetric eigendecomposition, eigenvalues descending."""
-    values, vectors = np.linalg.eigh(matrix)
-    return values[::-1], vectors[:, ::-1]
+        warnings += ("heywood: initial communalities clamped into [0, 1]",)
+    return clamped, warnings
 
 
 def paf_iterate(
-    corr: CorrelationMatrix,
-    start: CommunalityVector,
-    config: EngineConfig = EngineConfig(),
+    corr: CorrelationMatrix, config: EngineConfig = EngineConfig()
 ) -> FactorModel:
-    """Iterated principal-axis extraction.
+    """Iterated principal-axis extraction from squared-multiple-correlation starts.
 
     Each pass replaces the correlation diagonal with the current communality
     estimates, eigendecomposes, rebuilds loadings from the retained
@@ -253,24 +231,17 @@ def paf_iterate(
     count is fixed by the Kaiser rule on the first pass and the loop stops
     when the total absolute communality change drops below epsilon.
     """
-    matrix = corr.values
-    n = corr.size
-    comm = start.values.copy()
-    warnings: list[str] = list(start.warnings)
-    n_factors = None
-    selection_eigenvalues = None
+    comm, start_warnings = initial_communalities(corr, config)
+    adjusted = corr.values.copy()
     trajectory: list[PafStep] = []
-    converged = False
-    iterations = 0
-    final_values = final_vectors = final_diag = None
     heywood_hits: list[int] = []
     worst_heywood = 1.0
 
     for iteration in range(1, config.max_iterations + 1):
-        adjusted = matrix.copy()
         np.fill_diagonal(adjusted, comm)
-        values, vectors = _sorted_eigh(adjusted)
-        if n_factors is None:
+        values, vectors = np.linalg.eigh(adjusted)
+        values, vectors = values[::-1], vectors[:, ::-1]
+        if iteration == 1:
             n_factors = int(np.sum(values >= config.kaiser_threshold))
             if n_factors == 0:
                 raise NoFactorRetainedError(
@@ -286,17 +257,14 @@ def paf_iterate(
             worst_heywood = max(worst_heywood, float(updated.max()))
             updated = np.clip(updated, 0.0, 1.0)
         delta = float(np.sum(np.abs(updated - comm)))
-        trajectory.append(
-            PafStep(loadings=loadings, communalities=updated.copy(), delta=delta)
-        )
+        trajectory.append(PafStep(loadings=loadings, communalities=updated, delta=delta))
         comm = updated
-        iterations = iteration
-        final_values, final_vectors = retained, vectors[:, :n_factors]
-        final_diag = np.diag(adjusted).copy()
         if delta < config.epsilon:
-            converged = True
             break
 
+    # the loop variables hold the last pass, whose diagonal is still in place
+    converged = delta < config.epsilon
+    warnings = list(start_warnings)
     if heywood_hits:
         warnings.append(
             f"heywood: communalities above 1 clamped in {len(heywood_hits)} "
@@ -305,18 +273,19 @@ def paf_iterate(
     if not converged:
         warnings.append(
             f"non_convergence: iteration cap {config.max_iterations} reached "
-            f"(last total change {trajectory[-1].delta:.3e})"
+            f"(last total change {delta:.3e})"
         )
-    pct, cumulative = variance_accounting(selection_eigenvalues, n)
+    comm.setflags(write=False)
+    pct, cumulative = variance_accounting(selection_eigenvalues, corr.size)
     return FactorModel(
         attribute_names=(),
-        unrotated_loadings=trajectory[-1].loadings,
+        unrotated_loadings=loadings,
         eigenvalues=selection_eigenvalues,
-        final_eigenvalues=final_values,
-        eigenvectors=final_vectors,
-        adjusted_diagonal=final_diag,
-        communalities=CommunalityVector(values=comm, iteration_index=iterations),
-        iterations_used=iterations,
+        final_eigenvalues=retained,
+        eigenvectors=vectors[:, :n_factors],
+        adjusted_diagonal=np.diag(adjusted).copy(),
+        communalities=comm,
+        iterations_used=iteration,
         converged=converged,
         variance_percent=pct,
         cumulative_variance_percent=cumulative,
@@ -359,7 +328,7 @@ def _pair_waves(m: int) -> list[np.ndarray]:
 def varimax(
     loadings,
     tolerance: float = 1e-8,
-    max_sweeps: int = 100,
+    max_sweeps: int = VARIMAX_MAX_SWEEPS,
 ) -> VarimaxResult:
     """Varimax rotation by pairwise planar sweeps with Kaiser normalization.
 
@@ -497,30 +466,22 @@ def dominant_attributes(rotated_loadings) -> DominantAttributeMap:
 def sign_canonicalize(model: FactorModel) -> FactorModel:
     """Flip rotated factor columns whose largest-|loading| entry is negative.
 
-    The same flips are applied to the rotation columns and the scoring-weight
-    rows, so the model stays internally consistent and downstream scores pick
-    the flip up automatically. Idempotent, and independent of eigen solver
-    sign conventions.
+    One vector of +-1 flips the rotated loadings' columns, the rotation's
+    columns and the scoring weights' rows of a fitted model, so it stays
+    internally consistent and downstream scores pick the flip up
+    automatically. Idempotent, and independent of eigen solver sign
+    conventions.
     """
     rotated = model.rotated_loadings
-    if rotated is None:
-        return model
-    rotated = rotated.copy()
-    rotation = None if model.rotation is None else model.rotation.copy()
-    weights = None if model.scoring_weights is None else model.scoring_weights.copy()
-    for m in range(rotated.shape[1]):
-        pivot = int(np.argmax(np.abs(rotated[:, m])))
-        if rotated[pivot, m] < 0:
-            rotated[:, m] = -rotated[:, m]
-            if rotation is not None:
-                rotation[:, m] = -rotation[:, m]
-            if weights is not None:
-                weights[m, :] = -weights[m, :]
+    columns = np.arange(rotated.shape[1])
+    pivots = np.abs(rotated).argmax(axis=0)
+    flip = np.where(rotated[pivots, columns] < 0, -1.0, 1.0)
+    # C order whatever the inputs' order: the scores matmul rounds by layout
     return replace(
         model,
-        rotated_loadings=rotated,
-        rotation=rotation,
-        scoring_weights=weights,
+        rotated_loadings=np.multiply(rotated, flip, order="C"),
+        rotation=np.multiply(model.rotation, flip, order="C"),
+        scoring_weights=np.multiply(model.scoring_weights, flip[:, None], order="C"),
     )
 
 
@@ -534,18 +495,18 @@ def fit_factor_model(
     carries the attribute names and all accumulated warnings.
     """
     corr = correlation(a)
-    start = initial_communalities(corr, config)
-    model = paf_iterate(corr, start, config)
+    model = paf_iterate(corr, config)
+    # the cap is read at call time, so it can be lowered module-wide
     rotated = varimax(
         model.unrotated_loadings,
         tolerance=config.varimax_tolerance,
-        max_sweeps=config.varimax_max_sweeps,
+        max_sweeps=VARIMAX_MAX_SWEEPS,
     )
     rotation_warnings = ()
     if not rotated.converged:
         history = rotated.criterion_history
         rotation_warnings = (
-            f"non_convergence: varimax sweep cap {config.varimax_max_sweeps} "
+            f"non_convergence: varimax sweep cap {VARIMAX_MAX_SWEEPS} "
             f"reached (last criterion change {history[-1] - history[-2]:.3e})",
         )
     weights, ridge_warnings = scoring_weights(corr, rotated.loadings, config)

@@ -67,7 +67,7 @@ def write_loadings_csv(
 ) -> Path:
     labels = model.factor_labels
     header = "attribute," + ",".join(labels) + ",communality,dominant_factor"
-    columns = [model.rotated_loadings, model.communalities.values]
+    columns = [model.rotated_loadings, model.communalities]
     dominant_labels = (labels[m] for m in dominant.assigned_factor)
     rows = table_rows(model.attribute_names, columns, dominant_labels)
     row = "%s," + floats(model.n_factors + 1) + ",%s"

@@ -107,11 +107,11 @@ def test_criterion_3_oracle_equivalence():
             corr.values, oracle.correlation_from_standardized(matrix.values), atol=1e-8
         )
 
-        start = initial_communalities(corr)
-        assert_allclose(start.values, oracle.smc(corr.values), atol=1e-8)
+        start, _ = initial_communalities(corr)
+        assert_allclose(start, oracle.smc(corr.values), atol=1e-8)
 
-        model = paf_iterate(corr, start)
-        reference = oracle.paf_trajectory(corr.values, start.values)
+        model = paf_iterate(corr)
+        reference = oracle.paf_trajectory(corr.values, start)
         assert model.n_factors == reference["m"] == 2
         assert len(model.trajectory) == len(reference["steps"])
         for step, (ref_loads, ref_comm) in zip(model.trajectory, reference["steps"]):
@@ -212,8 +212,7 @@ def test_criterion_4_invariant_suite():
         # pipeline invariants on factor-structured data
         for matrix in pipeline_instances(100):
             corr = correlation(matrix)
-            start = initial_communalities(corr)
-            model = paf_iterate(corr, start)
+            model = paf_iterate(corr)
             rotated = varimax(model.unrotated_loadings)
             weights, _ = scoring_weights(corr, rotated.loadings)
             product = weights @ rotated.loadings

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import io
 import json
 import os
@@ -18,7 +20,7 @@ import oracle
 import sitefactors
 from sitefactors import engine, errors
 from sitefactors.cli import main
-from sitefactors.config import DEFAULTS, KEYS, RunConfig
+from sitefactors.config import DEFAULTS, KEYS, Owned, RunConfig
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "small4x6.csv")
 
@@ -395,6 +397,11 @@ class TestConfigPrecedence:
             ("engine.max_iterations", 3.9, "'engine.max_iterations'"),
             ("synth.seed", 7.0, "'synth.seed'"),
             ("sweep.thetas", [1, True], "expected comma-separated numbers"),
+            # only a tuple key takes a list; no key takes an object
+            ("out", ["x", "y"], "'out'"),
+            ("input", [FIXTURE], "'input'"),
+            ("score.alpha", [0.5], "'score.alpha'"),
+            ("score.alpha", {"value": 0.5}, "'score.alpha'"),
         ],
     )
     def test_file_values_follow_the_flag_rules(self, tmp_path, capsys, key, value, message):
@@ -474,11 +481,23 @@ MANIFEST_KEYS = [
 
 class TestKeyTable:
     def test_manifest_lists_exactly_the_settings(self, tmp_path):
-        # a library-only field such as EngineConfig.varimax_max_sweeps is no key
+        # every key is recorded but input, out and quiet
         assert main(["fit", "--input", FIXTURE, "--out", str(tmp_path), "--quiet"]) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert list(manifest["config"]) == sorted(MANIFEST_KEYS)
         assert sorted(KEYS) == sorted([*MANIFEST_KEYS, "input", "out", "quiet"])
+
+    def test_every_settings_field_is_exactly_one_key(self):
+        # a field no key names could only be set from the library
+        owners = (
+            sitefactors.IngestionConfig,
+            sitefactors.EngineConfig,
+            sitefactors.TypologyConfig,
+            sitefactors.SynthConfig,
+        )
+        fields = [(cls, field.name) for cls in owners for field in dataclasses.fields(cls)]
+        named = [tuple(entry) for entry in KEYS.values() if isinstance(entry, Owned)]
+        assert collections.Counter(named) == collections.Counter(fields)
 
     @pytest.mark.parametrize("key", sorted(KEYS))
     def test_default_as_flag_text_resolves_to_the_default(self, key):
@@ -530,6 +549,27 @@ class TestErrorContract:
         ])
         err = self.assert_one_error(capsys, code, 2)
         assert "balance_band" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"score.alpha\xff": 0.5}', b'{"score.top_k": ' + b"9" * 5000 + b"}"],
+        ids=["not-utf8", "5000-digit-integer"],
+    )
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            ("--config", "cannot read config"),
+            ("--composite.definition", "cannot read composite definition"),
+        ],
+    )
+    def test_unreadable_json_file_exits_2(self, tmp_path, capsys, option, message, content):
+        path = tmp_path / "file.json"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        code = main(["score", "--input", FIXTURE, "--out", str(out), option, str(path)])
+        err = self.assert_one_error(capsys, code, 2)
+        assert message in err
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("score.top_k", "0"), ("sweep.top_k", "-1")])

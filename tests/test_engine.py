@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import expected_small4x6 as frozen
 import oracle
+from sitefactors import engine
 from sitefactors import (
     AttributeTable,
     CorrelationMatrix,
@@ -77,21 +78,20 @@ class TestCorrelation:
 
 class TestInitialCommunalities:
     def test_identity_gives_zero(self):
-        start = initial_communalities(CorrelationMatrix(values=np.eye(4)))
-        assert_allclose(start.values, 0.0, atol=1e-14)
-        assert start.iteration_index == 0
+        start, _ = initial_communalities(CorrelationMatrix(values=np.eye(4)))
+        assert_allclose(start, 0.0, atol=1e-14)
 
     @pytest.mark.parametrize("rho", [0.3, -0.5, 0.9])
     def test_two_by_two_closed_form(self, rho):
         corr = CorrelationMatrix(values=np.array([[1.0, rho], [rho, 1.0]]))
-        start = initial_communalities(corr)
-        assert_allclose(start.values, rho**2, atol=1e-12)
+        start, _ = initial_communalities(corr)
+        assert_allclose(start, rho**2, atol=1e-12)
 
     def test_fixture_matches_oracle(self, matrix):
         corr = correlation(matrix)
-        start = initial_communalities(corr)
-        assert_allclose(start.values, frozen.SMC, atol=1e-10)
-        assert_allclose(start.values, oracle.smc(corr.values), atol=1e-12)
+        start, _ = initial_communalities(corr)
+        assert_allclose(start, frozen.SMC, atol=1e-10)
+        assert_allclose(start, oracle.smc(corr.values), atol=1e-12)
 
     def test_singular_matrix_raises_without_ridge(self):
         corr = CorrelationMatrix(values=np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -100,23 +100,21 @@ class TestInitialCommunalities:
 
     def test_singular_matrix_ridge_fallback(self):
         corr = CorrelationMatrix(values=np.array([[1.0, 1.0], [1.0, 1.0]]))
-        start = initial_communalities(corr, EngineConfig(ridge_fallback=True))
-        assert np.all(start.values <= 1.0)
-        assert np.all(start.values > 0.99)
-        assert any(w.startswith("ridge:") for w in start.warnings)
+        start, warnings = initial_communalities(corr, EngineConfig(ridge_fallback=True))
+        assert np.all(start <= 1.0)
+        assert np.all(start > 0.99)
+        assert any(w.startswith("ridge:") for w in warnings)
 
 
 class TestPafIterate:
     def test_identity_correlation_retains_nothing(self):
         corr = CorrelationMatrix(values=np.eye(5))
-        start = initial_communalities(corr)
         with pytest.raises(NoFactorRetainedError):
-            paf_iterate(corr, start)
+            paf_iterate(corr)
 
     def test_two_block_example_matches_oracle(self):
         corr = CorrelationMatrix(values=BLOCK_CORR)
-        start = initial_communalities(corr)
-        model = paf_iterate(corr, start)
+        model = paf_iterate(corr)
         reference = oracle.paf_trajectory(BLOCK_CORR, oracle.smc(BLOCK_CORR))
         assert model.n_factors == 2
         assert model.iterations_used == reference["iterations"]
@@ -133,9 +131,9 @@ class TestPafIterate:
 
     def test_fixture_full_trajectory_matches_oracle(self, matrix):
         corr = correlation(matrix)
-        start = initial_communalities(corr)
-        model = paf_iterate(corr, start)
-        reference = oracle.paf_trajectory(corr.values, start.values)
+        start, _ = initial_communalities(corr)
+        model = paf_iterate(corr)
+        reference = oracle.paf_trajectory(corr.values, start)
         assert model.n_factors == frozen.N_FACTORS
         assert model.iterations_used == frozen.ITERATIONS
         assert model.converged is frozen.CONVERGED
@@ -153,19 +151,18 @@ class TestPafIterate:
             frozen.UNROTATED_CANON,
             atol=1e-8,
         )
-        assert_allclose(model.communalities.values, frozen.COMMUNALITIES, atol=1e-8)
+        assert_allclose(model.communalities, frozen.COMMUNALITIES, atol=1e-8)
+        assert not model.communalities.flags.writeable
 
     def test_communalities_stay_clamped(self, matrix):
-        model = paf_iterate(
-            correlation(matrix), initial_communalities(correlation(matrix))
-        )
+        model = paf_iterate(correlation(matrix))
         for step in model.trajectory:
             assert step.communalities.min() >= 0.0
             assert step.communalities.max() <= 1.0
 
     def test_eigenpair_residuals(self, matrix):
         corr = correlation(matrix)
-        model = paf_iterate(corr, initial_communalities(corr))
+        model = paf_iterate(corr)
         adjusted = corr.values.copy()
         np.fill_diagonal(adjusted, model.adjusted_diagonal)
         for m in range(model.n_factors):
@@ -188,9 +185,7 @@ class TestPafIterate:
 
     def test_iteration_cap_flags_nonconvergence(self, matrix):
         corr = correlation(matrix)
-        model = paf_iterate(
-            corr, initial_communalities(corr), EngineConfig(max_iterations=3)
-        )
+        model = paf_iterate(corr, EngineConfig(max_iterations=3))
         assert model.converged is False
         assert model.iterations_used == 3
         assert any(w.startswith("non_convergence:") for w in model.warnings)
@@ -211,10 +206,10 @@ class TestPafIterate:
             values=values,
         )
         corr = correlation(standardize(table))
-        model = paf_iterate(corr, initial_communalities(corr))
+        model = paf_iterate(corr)
         heywood = [w for w in model.warnings if w.startswith("heywood:")]
         assert len(heywood) == 1
-        assert model.communalities.values.max() <= 1.0
+        assert model.communalities.max() <= 1.0
         for step in model.trajectory:
             assert step.communalities.max() <= 1.0
 
@@ -395,7 +390,7 @@ class TestFitFactorModel:
         assert_allclose(model.rotated_loadings, frozen.ROTATED_CANON, atol=1e-7)
         assert_allclose(
             (model.rotated_loadings**2).sum(axis=1),
-            model.communalities.values,
+            model.communalities,
             atol=1e-8,
         )
 
@@ -409,11 +404,10 @@ class TestFitFactorModel:
         assert achieved == pytest.approx(frozen.REFINED_CRITERION, abs=1e-8)
         assert achieved == pytest.approx(frozen.GRID_CRITERION, abs=1e-6)
 
-    def test_varimax_sweep_cap_warns(self, matrix):
+    def test_varimax_sweep_cap_warns(self, matrix, monkeypatch):
         assert fit_factor_model(matrix).warnings == ()
-        model = fit_factor_model(
-            matrix, EngineConfig(varimax_max_sweeps=1, varimax_tolerance=0.0)
-        )
+        monkeypatch.setattr(engine, "VARIMAX_MAX_SWEEPS", 1)
+        model = fit_factor_model(matrix, EngineConfig(varimax_tolerance=0.0))
         assert len(model.warnings) == 1
         assert model.warnings[0].startswith(
             "non_convergence: varimax sweep cap 1 reached (last criterion change "
@@ -425,7 +419,6 @@ class TestFitFactorModel:
             ("kaiser_threshold", 0.0),
             ("kaiser_threshold", -5.0),
             ("kaiser_threshold", float("nan")),
-            ("varimax_max_sweeps", 0),
             ("varimax_tolerance", float("nan")),
             ("varimax_tolerance", -1.0),
             ("epsilon", 0.0),
@@ -503,7 +496,7 @@ class TestSyntheticRecovery:
             standardize(table), EngineConfig(ridge_fallback=True)
         )
         assert model.n_factors == 2
-        assert model.communalities.values.min() > 0.999
+        assert model.communalities.min() > 0.999
         magnitude = np.abs(model.rotated_loadings)
         on = magnitude[planted > 0]
         off = magnitude[planted == 0]

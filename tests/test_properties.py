@@ -1,5 +1,6 @@
 """Property-based invariant checks over randomized instances."""
 
+import dataclasses
 import hashlib
 import tempfile
 import warnings
@@ -29,11 +30,11 @@ from sitefactors import (
     describe,
     fit_factor_model,
     generate,
-    initial_communalities,
     load_table,
     paf_iterate,
     quadrant_classify,
     score_regions,
+    sign_canonicalize,
     standardize,
     sweep,
     top_k,
@@ -198,7 +199,7 @@ def test_varimax_matches_the_reference_at_the_wide_benchmark_shape():
     )
     config = EngineConfig(kaiser_threshold=2.0)
     corr = correlation(standardize(table))
-    model = paf_iterate(corr, initial_communalities(corr, config), config)
+    model = paf_iterate(corr, config)
     assert model.unrotated_loadings.shape == (420, 70)
     assert_matches_the_reference(model.unrotated_loadings)
 
@@ -242,11 +243,55 @@ def test_factor_score_rows_are_centered(seed):
 def test_final_eigenpairs_satisfy_their_decomposition(seed):
     matrix, _ = pipeline_case(seed)
     corr = correlation(matrix)
-    model = paf_iterate(corr, initial_communalities(corr))
+    model = paf_iterate(corr)
     adjusted = corr.values.copy()
     np.fill_diagonal(adjusted, model.adjusted_diagonal)
     residual = adjusted @ model.eigenvectors - model.eigenvectors * model.final_eigenvalues
     assert np.abs(residual).max() < 1e-8
+
+
+@st.composite
+def flip_cases(draw):
+    """Rotated loadings (n, m), rotation (m, m) and weights (m, n), each C or F ordered.
+
+    Cells mix signed zeros and magnitudes that tie, in sign or not, with any
+    float in [-2, 2].
+    """
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    cells = st.sampled_from([-0.5, -0.0, 0.0, 0.5, 1.0, -1.0]) | st.floats(-2.0, 2.0)
+
+    def matrix(shape):
+        values = draw(arrays(np.float64, shape, elements=cells))
+        return np.asfortranarray(values) if draw(st.booleans()) else values
+
+    return matrix((n, m)), matrix((m, m)), matrix((m, n))
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+@SETTINGS
+@given(flip_cases())
+def test_sign_flip_matches_the_column_by_column_reference(case):
+    rotated, rotation, weights = case
+    _, model = pipeline_case(0)
+    fixed = sign_canonicalize(
+        dataclasses.replace(
+            model, rotated_loadings=rotated, rotation=rotation, scoring_weights=weights
+        )
+    )
+    expected = [rotated.copy(), rotation.copy(), weights.copy()]
+    for j in range(rotated.shape[1]):
+        column = oracle.canon_column_signs(rotated[:, [j]])[:, 0]
+        if not np.array_equal(bits(column), bits(rotated[:, j])):
+            expected[0][:, j] = column
+            expected[1][:, j] = -rotation[:, j]
+            expected[2][j] = -weights[j]
+    got = [fixed.rotated_loadings, fixed.rotation, fixed.scoring_weights]
+    for ours, theirs in zip(got, expected):
+        assert ours.flags.c_contiguous
+        assert np.array_equal(bits(ours), bits(theirs))
 
 
 @SETTINGS

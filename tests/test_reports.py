@@ -8,7 +8,6 @@ import pytest
 
 from sitefactors import (
     AttributeTable,
-    CommunalityVector,
     DescriptiveStats,
     DominantAttributeMap,
     Quadrant,
@@ -127,7 +126,7 @@ def edge_model(model):
         attribute_names=IDS,
         unrotated_loadings=np.zeros((len(IDS), 2)),
         rotated_loadings=loadings,
-        communalities=CommunalityVector(values=np.roll(CELLS, 7), iteration_index=0),
+        communalities=np.roll(CELLS, 7),
         eigenvalues=CELLS[[2, 8]],
         variance_percent=CELLS[[1, 9]],
         cumulative_variance_percent=CELLS[[0, 10]],
@@ -139,7 +138,7 @@ def test_loadings_csv_matches_per_cell_rendering(tmp_path, edge_model):
     assigned = np.arange(len(IDS)) % 2
     dominant = DominantAttributeMap(assigned, CELLS, ((), ()))
     path = write_loadings_csv(tmp_path / "loadings.csv", edge_model, dominant)
-    columns = [*edge_model.rotated_loadings.T, edge_model.communalities.values]
+    columns = [*edge_model.rotated_loadings.T, edge_model.communalities]
     labels = [f"factor_{m + 1}" for m in assigned]
     rows = [row + "," + label for row, label in zip(per_cell_rows(IDS, columns), labels)]
     expect(path, "attribute,factor_1,factor_2,communality,dominant_factor", rows)
