@@ -21,7 +21,6 @@ from .composite import (
     score_regions,
     sweep,
     top_k,
-    v_score,
 )
 from .config import KEYS, RunConfig, load_config_file
 from .datamodel import IngestionConfig, describe, load_table, standardize
@@ -192,13 +191,11 @@ def cmd_sweep(config: RunConfig):
     definition = _definition(config, model.n_factors)
     scores = factor_scores(model.scoring_weights, matrix)
     composites = composite_scores(scores, definition)
-    grid = sweep(composites, config.alphas(), config["sweep.thetas"])
+    k = min(config["sweep.top_k"], len(composites.region_ids))
+    grid = sweep(composites, config.alphas(), config["sweep.thetas"], k)
     artifacts["sweep_wide.csv"] = (write_sweep_wide_csv, grid)
     artifacts["sweep_long.csv"] = (write_sweep_long_csv, grid)
-    k = min(config["sweep.top_k"], grid.n_regions)
-    for alpha in grid.alphas:
-        v = v_score(composites.suitability, composites.attractiveness, alpha)
-        ranking = top_k(composites.region_ids, v, k)
+    for alpha, ranking in zip(grid.alphas, grid.rankings):
         name = f"top_regions_alpha_{grid_label(alpha)}.csv"
         artifacts[name] = (write_top_csv, ranking, "v_score")
     summary = (

@@ -312,13 +312,18 @@ def score_regions(
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Region counts over the (alpha, theta) grid, thetas down the rows."""
+    """Region counts over the (alpha, theta) grid, thetas down the rows.
+
+    `rankings` holds each alpha's top-k `(region id, v-score)` pairs when
+    `sweep` was given a k, and is empty otherwise.
+    """
 
     alphas: tuple[float, ...]
     thetas: tuple[float, ...]
     counts: np.ndarray
     percentages: np.ndarray
     n_regions: int
+    rankings: tuple[list, ...] = ()
 
     def __post_init__(self):
         for name, grid in (("alphas", self.alphas), ("thetas", self.thetas)):
@@ -327,24 +332,32 @@ class SweepGrid:
                 raise SchemaError(f"sweep {name} must be strictly ascending")
 
 
-def sweep(scores: CompositeScores, alphas, thetas) -> SweepGrid:
-    """Count regions whose v-score strictly exceeds each threshold."""
+def sweep(scores: CompositeScores, alphas, thetas, k: int | None = None) -> SweepGrid:
+    """Count regions whose v-score strictly exceeds each threshold.
+
+    Given k, each alpha's v-scores are also ranked by `top_k`, so the
+    counts and the rankings come from one v-score vector per alpha.
+    """
     alphas = [float(a) for a in alphas]
     thetas = [float(t) for t in thetas]
     if not alphas or not thetas:
         raise KRangeError("sweep needs non-empty alpha and theta grids")
     n_regions = len(scores.region_ids)
     counts = np.zeros((len(thetas), len(alphas)), dtype=int)
+    rankings = []
     for ai, alpha in enumerate(alphas):
         v = v_score(scores.suitability, scores.attractiveness, alpha)
         for ti, theta in enumerate(thetas):
             counts[ti, ai] = int(np.sum(v > theta))
+        if k is not None:
+            rankings.append(top_k(scores.region_ids, v, k))
     return SweepGrid(
         alphas=tuple(alphas),
         thetas=tuple(thetas),
         counts=counts,
         percentages=counts / n_regions * 100.0,
         n_regions=n_regions,
+        rankings=tuple(rankings),
     )
 
 

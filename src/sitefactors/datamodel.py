@@ -25,6 +25,26 @@ from .errors import (
 
 MISSING_POLICIES = ("reject", "drop-region", "impute-median")
 DUPLICATES_NAMED = 10  # an error names at most this many repeated names
+# a field holding one of these is quoted under `csv.QUOTE_MINIMAL` (excel dialect)
+NEEDS_QUOTES = (",", '"', "\r", "\n")
+
+
+def quoted(texts) -> list[str]:
+    """The texts as CSV fields, each quoted exactly when `csv.QUOTE_MINIMAL` would.
+
+    Region ids and attribute names may hold a comma or a quote (read from
+    a quoted field); written bare, they would split or shift their row.
+    """
+    texts = list(texts)
+    joined = "".join(texts)
+    if not any(mark in joined for mark in NEEDS_QUOTES):
+        return texts
+    return [
+        '"' + text.replace('"', '""') + '"'
+        if any(mark in text for mark in NEEDS_QUOTES)
+        else text
+        for text in texts
+    ]
 
 
 def median(values):
@@ -60,7 +80,7 @@ class IngestionConfig:
     `reject` fails on the first unparseable cell, `drop-region` removes the
     affected region rows, `impute-median` fills cells with the attribute
     median over the remaining regions. Every intervention is recorded as a
-    `<region_id>,<attribute>,<action>` provenance line.
+    `<region_id>,<attribute>,<action>` provenance line, a CSV row.
     """
 
     missing_policy: str = "reject"
@@ -222,6 +242,10 @@ def _parse_clean(lines: list[str], n: int):
     return region_ids, np.ascontiguousarray(values.T)
 
 
+def _provenance(region_id: str, attribute: str, action: str) -> str:
+    return ",".join(quoted((region_id, attribute, action)))
+
+
 def _parse_cells(path, rows, attribute_names, schema: IngestionConfig):
     """Region ids, N x R matrix and provenance of (line, csv row) pairs, cell by cell."""
     n = len(attribute_names)
@@ -256,7 +280,7 @@ def _parse_cells(path, rows, attribute_names, schema: IngestionConfig):
         for rid, parsed in zip(region_ids, cells):
             missing = [name for name, v in zip(attribute_names, parsed) if v is None]
             if missing:
-                provenance.extend(f"{rid},{name},drop-region" for name in missing)
+                provenance.extend(_provenance(rid, name, "drop-region") for name in missing)
             else:
                 kept_ids.append(rid)
                 kept_cells.append(parsed)
@@ -278,7 +302,7 @@ def _parse_cells(path, rows, attribute_names, schema: IngestionConfig):
                 raise SchemaError(f"{path}: attribute {name!r} has no numeric values")
             fill = float(median(row[~missing]))
             for j in np.flatnonzero(missing):
-                provenance.append(f"{region_ids[j]},{name},impute-median")
+                provenance.append(_provenance(region_ids[j], name, "impute-median"))
             row[missing] = fill
     return region_ids, matrix, provenance
 

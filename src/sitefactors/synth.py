@@ -20,7 +20,7 @@ import numpy as np
 
 from .datamodel import AttributeTable
 from .errors import SchemaError
-from .reports import floats, table_rows, write_table
+from .reports import table_rows, write_table
 
 URBAN_ATTRIBUTE_NAMES = (
     "housing_density",
@@ -147,6 +147,5 @@ def write_synth_csv(path, config: SynthConfig = SynthConfig()) -> AttributeTable
         f"# planted blocks: {block_map}",
         "region_id," + ",".join(table.attribute_names),
     ]
-    row = "%s," + floats(table.n_attributes)
-    write_table(path, header, row, table_rows(table.region_ids, [table.values.T]))
+    write_table(path, header, "%s,%s", table_rows(table.region_ids, [table.values.T]))
     return table

@@ -1,4 +1,5 @@
 import collections
+import csv
 import dataclasses
 import io
 import json
@@ -813,6 +814,44 @@ class TestProvenance:
         assert code == expected_code
         assert "missing value handled" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestTextCells:
+    """Ids and attribute names that need CSV quotes come back out intact."""
+
+    ODD_ID = 'x,"y"'
+    ODD_ATTRIBUTE = "a,1"
+
+    def test_artifacts_read_back_with_csv_reader(self, tmp_path, definition_path):
+        source = Path(FIXTURE).read_text().splitlines()
+        source[0] = source[0].replace("housing_density", '"a,1"')
+        source[1] = source[1].replace("R01", '"x,""y"""')
+        source[3] = source[3].replace("R03,12.9", '"r,3",')
+        data = tmp_path / "odd.csv"
+        data.write_text("\n".join(source) + "\n")
+        common = ["--input", str(data), "--data.missing_policy", "impute-median", "--quiet"]
+        ranked = ["--composite.definition", definition_path]
+        runs = {
+            "describe": [],
+            "fit": [],
+            "score": [*ranked, "--score.top_k", "6"],
+            "sweep": [*ranked, "--sweep.top_k", "6", "--sweep.alpha_step", "0.5"],
+        }
+        for command, flags in runs.items():
+            assert main([command, "--out", str(tmp_path / command), *common, *flags]) == 0
+        tables = {}
+        for path in sorted(tmp_path.glob("*/*.csv")) + sorted(tmp_path.glob("*/*.log")):
+            with open(path, newline="", encoding="utf-8") as handle:
+                rows = list(csv.reader(handle))
+            assert len({len(row) for row in rows}) == 1, path
+            tables[f"{path.parent.name}/{path.name}"] = rows
+        ids = {self.ODD_ID, "R02", "r,3", "R04", "R05", "R06"}
+        assert {row[0] for row in tables["score/scores.csv"][1:]} == ids
+        for name in ("score/top_suitability.csv", "sweep/top_regions_alpha_0.5.csv"):
+            assert {row[1] for row in tables[name][1:]} == ids
+        for name in ("describe/stats.csv", "fit/loadings.csv", "fit/weights.csv"):
+            assert tables[name][1][0] == self.ODD_ATTRIBUTE
+        assert tables["describe/provenance.log"] == [["r,3", "a,1", "impute-median"]]
 
 
 # Setting values the fuzz test draws from: in range, at the edges and beyond.

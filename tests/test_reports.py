@@ -1,10 +1,15 @@
 """Every writer gives the bytes of a cell-by-cell `reports.fmt` rendering."""
 
+import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sitefactors import (
     AttributeTable,
@@ -19,7 +24,10 @@ from sitefactors import (
     synth,
     write_synth_csv,
 )
+from sitefactors.datamodel import quoted
 from sitefactors.reports import (
+    CHUNK_CELLS,
+    fixed6,
     fmt,
     grid_label,
     write_eigenvalues_csv,
@@ -49,6 +57,104 @@ def per_cell_rows(region_ids, columns):
         ",".join([rid] + [fmt(c[j]) if not isinstance(c[j], str) else c[j] for c in columns])
         for j, rid in enumerate(region_ids)
     ]
+
+
+# Cells that `fixed6` must get right or hand to `fmt`: integer parts that
+# skip a zero 4-digit piece, the largest double below 1e9 (it rounds up to
+# 10 integer digits), k/128 (exact ties that round to even), and the
+# neighbours of (k + 0.5)/1e6 on either side of a rounding midpoint
+HARD_CELLS = (
+    [100000005.25, 10000.5, 9999.9999996, 123456789.0000005, 9.1e9 + 0.3]
+    + [np.nextafter(1e9, 0), 1e9, 999999999.9999995, 1e15, 2.0**52, 1e300, 5e-324]
+    + [k / 128 for k in range(-3, 260, 4)]
+    + [
+        np.nextafter((k + 0.5) / 1e6, side)
+        for k in (0, 1, 12, 999999)
+        for side in (-np.inf, np.inf)
+    ]
+)
+cell_values = (
+    st.floats()
+    | st.floats(min_value=1e3, max_value=1e11)
+    | st.floats(min_value=-1e-5, max_value=1e-5)
+    | st.sampled_from(HARD_CELLS)
+)
+
+
+shapes = st.tuples(st.integers(1, 4), st.integers(1, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, shapes, elements=cell_values))
+def test_fixed6_matches_per_cell_fmt(matrix):
+    matrix = np.where(np.arange(matrix.shape[1]) % 3 == 2, -matrix, matrix)
+    assert fixed6(matrix) == [",".join(map(fmt, row)) for row in matrix.tolist()]
+
+
+def test_fixed6_hard_cells():
+    matrix = np.array(HARD_CELLS + [-0.0, np.nan, np.inf, -np.inf])[:, None]
+    rows = fixed6(np.vstack([matrix, -matrix]))
+    assert rows == [fmt(x) for x in np.vstack([matrix, -matrix])[:, 0]]
+    assert {"1000000000.000000", "0.007812", "-0.000000", "nan"} <= set(rows)
+
+
+def chunked_rows(n_chunks, n_cols, specials):
+    """Normal cells over `n_chunks` `fixed6` chunks and a bit, with the four
+    `specials` (cells `fixed6` leaves to `fmt`) in the first and last rows
+    and on either side of the first chunk boundary, and integer parts of 5
+    and of 9 digits in the second and third chunks."""
+    step = CHUNK_CELLS // n_cols
+    values = np.random.default_rng(3).normal(scale=1e3, size=(n_chunks * step + 5, n_cols))
+    for row, cell in zip([0, step - 1, step, len(values) - 1], specials):
+        values[row, row % n_cols] = cell
+    values[step + 7, 0] = 12345.25
+    values[2 * step + 1, -1] = -123456789.5
+    return values
+
+
+def test_scores_csv_of_several_chunks_matches_per_cell_rendering(tmp_path):
+    values = chunked_rows(3, 5, [np.nan, np.inf, 1e15, -0.0078125])
+    n = len(values)
+    ids = tuple(f"r{j}" for j in range(n))
+    scores = RegionScores(
+        region_ids=ids,
+        factor_scores=values[:, :2].T,
+        suitability=values[:, 2],
+        attractiveness=values[:, 3],
+        alpha=0.5,
+        v_scores=values[:, 4],
+        quadrants=(Quadrant.BOTH_LOW,) * n,
+        typologies=(Typology.NONE,) * n,
+    )
+    path = write_scores_csv(tmp_path / "scores.csv", scores)
+    rows = per_cell_rows(ids, [*values.T, ["BothLow"] * n, ["None"] * n])
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[1:] == rows + [""]
+    cells = {cell for row in rows for cell in row.split(",")}
+    assert {"nan", "inf", "-0.007812", "12345.250000", "-123456789.500000"} <= cells
+
+
+def test_synth_csv_of_several_chunks_matches_per_cell_rendering(tmp_path, monkeypatch):
+    values = chunked_rows(3, 3, [0.0078125, -1e300, 1e15, 2.5e-6])
+    n = len(values)
+    table = AttributeTable(
+        attribute_names=("a", "b", "c"),
+        region_ids=tuple(f"r{j}" for j in range(n)),
+        values=values.T,
+    )
+    monkeypatch.setattr(synth, "generate", lambda config: (table, None))
+    config = SynthConfig(n_attributes=3, n_regions=n, n_factors=1)
+    write_synth_csv(tmp_path / "chunks.csv", config)
+    lines = (tmp_path / "chunks.csv").read_text(encoding="utf-8").split("\n")
+    assert lines[4:] == per_cell_rows(table.region_ids, table.values) + [""]
+
+
+# at least two fields: a row of one empty field is written as `""`
+@given(st.lists(st.text(st.sampled_from('ab ,"\r\n\t;é') | st.characters()), min_size=2))
+def test_quoted_fields_are_what_csv_writer_writes(texts):
+    expected = io.StringIO()
+    csv.writer(expected).writerow(texts)
+    assert ",".join(quoted(texts)) + "\r\n" == expected.getvalue()
 
 
 def test_scores_csv_matches_per_cell_rendering(tmp_path):
