@@ -78,11 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args) -> RunConfig:
     file_values = load_config_file(args.config) if args.config else {}
-    overrides = {}
-    for key in KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
+    # a flag not given is None, which `resolve` skips
+    overrides = {key: getattr(args, key, None) for key in KEYS}
     if getattr(args, "alpha", None) is not None:
         overrides["score.alpha"] = args.alpha
     if getattr(args, "seed", None) is not None:

@@ -344,11 +344,11 @@ def sweep(scores: CompositeScores, alphas, thetas, k: int | None = None) -> Swee
         raise KRangeError("sweep needs non-empty alpha and theta grids")
     n_regions = len(scores.region_ids)
     counts = np.zeros((len(thetas), len(alphas)), dtype=int)
+    theta_column = np.array(thetas)[:, None]
     rankings = []
     for ai, alpha in enumerate(alphas):
         v = v_score(scores.suitability, scores.attractiveness, alpha)
-        for ti, theta in enumerate(thetas):
-            counts[ti, ai] = int(np.sum(v > theta))
+        counts[:, ai] = (v > theta_column).sum(axis=1)
         if k is not None:
             rankings.append(top_k(scores.region_ids, v, k))
     return SweepGrid(

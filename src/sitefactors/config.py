@@ -10,11 +10,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
 from .composite import TypologyConfig
-from .datamodel import IngestionConfig
+from .datamodel import IngestionConfig, read_number
 from .engine import EngineConfig
 from .errors import AlphaRangeError, SchemaError
 from .reports import grid_label
@@ -34,7 +35,7 @@ def _parse_floats(text):
     # each element of a JSON list is read like the text between two commas
     parts = text if isinstance(text, (list, tuple)) else text.split(",")
     try:
-        return tuple(float(str(part)) for part in parts if str(part).strip())
+        return tuple(read_number(str(part)) for part in parts if str(part).strip())
     except ValueError as exc:
         raise SchemaError(f"expected comma-separated numbers, got {text!r}") from exc
 
@@ -91,7 +92,7 @@ def _parser(default):
         return _parse_bool
     if isinstance(default, tuple):
         return _parse_floats
-    return type(default)
+    return str if isinstance(default, str) else partial(read_number, kind=type(default))
 
 
 def load_config_file(path) -> dict:

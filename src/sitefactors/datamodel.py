@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +29,10 @@ MISSING_POLICIES = ("reject", "drop-region", "impute-median")
 DUPLICATES_NAMED = 10  # an error names at most this many repeated names
 # a field holding one of these is quoted under `csv.QUOTE_MINIMAL` (excel dialect)
 NEEDS_QUOTES = (",", '"', "\r", "\n")
+# a line as `csv` ends it, at CR, LF or CRLF, or the unended last line
+CSV_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+# a quote, and the characters at which `str.splitlines` also ends a line
+CELL_PATH_MARKS = ('"', "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
 def quoted(texts) -> list[str]:
@@ -170,19 +176,24 @@ class StandardizedMatrix:
         return self.values.shape[1]
 
 
-def _parse_cell(text: str) -> float | None:
-    """A cell parses to a finite float or counts as missing.
+def read_number(text: str, kind=float):
+    """`kind(text)` by the number grammar of a cell and of a setting.
 
-    `float` also reads digit-group underscores (`3_5` as 35); the grammar
-    has no thousands separators, so such a cell counts as missing.
+    `int` and `float` also read digit-group underscores (`3_5` as 35); the
+    grammar has no thousands separators, so such a text is a ValueError.
     """
     if "_" in text:
-        return None
+        raise ValueError(f"digit-group underscore in {text!r}")
+    return kind(text)
+
+
+def _parse_cell(text: str) -> float | None:
+    """A cell read by `read_number` to a finite float, or missing."""
     try:
-        value = float(text)
-    except (TypeError, ValueError):
+        value = read_number(text)
+    except ValueError:
         return None
-    return value if np.isfinite(value) else None
+    return value if math.isfinite(value) else None
 
 
 def _read(path: Path) -> tuple[str, str]:
@@ -195,13 +206,14 @@ def _read(path: Path) -> tuple[str, str]:
     return text, hashlib.sha256(data).hexdigest()
 
 
-def _csv_rows(path, lines):
+def _csv_rows(path, text: str):
     """(line of the file, row) of every csv row that is not blank or a comment.
 
-    A field longer than the `csv` module's limit of 131072 characters is a
-    ParseError naming its line; the process-wide limit is left as it is.
+    A quoted field keeps its line breaks. A field longer than the `csv`
+    module's limit of 131072 characters is a ParseError naming its line;
+    the process-wide limit is left as it is.
     """
-    reader = csv.reader(lines)
+    reader = csv.reader(line.group() for line in CSV_LINE.finditer(text))
     try:
         for row in reader:
             if row and not row[0].lstrip().startswith("#"):
@@ -210,14 +222,18 @@ def _csv_rows(path, lines):
         raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
-def _parse_clean(lines: list[str], n: int):
-    """Region ids and the N x R matrix of unquoted body lines, by numpy's C parser.
+def _parse_clean(text: str, header_line: int, n: int):
+    """Region ids, N x R matrix and empty provenance, by numpy's C parser.
 
-    Returns None unless every row has N+1 fields, a non-empty unique region
-    id and N finite values. The parser reads a subset of what `float` reads
-    (no `3_5`, no Arabic-Indic digits), correctly rounded like it, so an
-    accepted matrix is bit-equal to the per-cell parse.
+    Returns None unless the text holds no `CELL_PATH_MARKS` character (so
+    its lines are `csv`'s) and every row has N+1 fields, a non-empty unique
+    region id and N finite values. The parser reads a subset of what `float`
+    reads (no `3_5`, no Arabic-Indic digits), correctly rounded like it, so
+    an accepted matrix is bit-equal to the per-cell parse.
     """
+    if any(mark in text for mark in CELL_PATH_MARKS):
+        return None
+    lines = text.splitlines()[header_line:]
     body = [line for line in lines if line and not line.lstrip().startswith("#")]
     if not body or any(line.count(",") != n for line in body):
         return None
@@ -239,7 +255,7 @@ def _parse_clean(lines: list[str], n: int):
         return None
     # C order as the per-cell path builds it: row means of a transposed
     # view sum in another order and differ in the last bits
-    return region_ids, np.ascontiguousarray(values.T)
+    return region_ids, np.ascontiguousarray(values.T), []
 
 
 def _provenance(region_id: str, attribute: str, action: str) -> str:
@@ -248,9 +264,8 @@ def _provenance(region_id: str, attribute: str, action: str) -> str:
 
 def _parse_cells(path, rows, attribute_names, schema: IngestionConfig):
     """Region ids, N x R matrix and provenance of (line, csv row) pairs, cell by cell."""
-    n = len(attribute_names)
-    region_ids: list[str] = []
-    cells: list[list[float | None]] = []
+    n, policy = len(attribute_names), schema.missing_policy
+    region_ids, cells = [], []
     for lineno, row in rows:
         if len(row) != n + 1:
             raise ParseError(
@@ -259,52 +274,40 @@ def _parse_cells(path, rows, attribute_names, schema: IngestionConfig):
         rid = row[0].strip()
         if not rid:
             raise SchemaError(f"{path}: line {lineno} has an empty region_id")
-        parsed = []
-        for name, cell in zip(attribute_names, row[1:]):
-            value = _parse_cell(cell)
-            if value is None and schema.missing_policy == "reject":
-                raise SchemaError(
-                    f"{path}: non-numeric cell for region {rid!r}, "
-                    f"attribute {name!r}: {cell!r}"
-                )
-            parsed.append(value)
+        parsed = [_parse_cell(cell) for cell in row[1:]]
+        if policy == "reject" and None in parsed:
+            i = parsed.index(None)
+            raise SchemaError(
+                f"{path}: non-numeric cell for region {rid!r}, "
+                f"attribute {attribute_names[i]!r}: {row[i + 1]!r}"
+            )
         region_ids.append(rid)
         cells.append(parsed)
 
     if len(set(region_ids)) != len(region_ids):
         raise SchemaError(f"{path}: duplicate region ids {_duplicates(region_ids)}")
 
-    provenance: list[str] = []
-    if schema.missing_policy == "drop-region":
-        kept_ids, kept_cells = [], []
-        for rid, parsed in zip(region_ids, cells):
-            missing = [name for name, v in zip(attribute_names, parsed) if v is None]
-            if missing:
-                provenance.extend(_provenance(rid, name, "drop-region") for name in missing)
-            else:
-                kept_ids.append(rid)
-                kept_cells.append(parsed)
-        region_ids, cells = kept_ids, kept_cells
-
-    matrix = np.full((n, len(region_ids)), np.nan)
-    for j, parsed in enumerate(cells):
-        for i, value in enumerate(parsed):
-            if value is not None:
-                matrix[i, j] = value
-
-    if schema.missing_policy == "impute-median":
-        for i, name in enumerate(attribute_names):
-            row = matrix[i]
-            missing = np.isnan(row)
-            if not missing.any():
-                continue
-            if missing.all():
+    values = np.array(cells, dtype=float).reshape(len(cells), n)  # None as NaN
+    missing = np.isnan(values)
+    # each missing cell as (region, attribute), in the order its policy meets
+    # them: region by region to drop, attribute by attribute to impute
+    impute = policy == "impute-median"
+    holes = np.argwhere(missing.T)[:, ::-1] if impute else np.argwhere(missing)
+    provenance = [
+        _provenance(region_ids[j], attribute_names[i], policy) for j, i in holes
+    ]
+    if policy == "drop-region":
+        kept = ~missing.any(axis=1)
+        region_ids = [rid for rid, keep in zip(region_ids, kept) if keep]
+        values = values[kept]
+    elif impute:
+        for i in np.flatnonzero(missing.any(axis=0)):
+            column, hole = values[:, i], missing[:, i]
+            if hole.all():
+                name = attribute_names[i]
                 raise SchemaError(f"{path}: attribute {name!r} has no numeric values")
-            fill = float(median(row[~missing]))
-            for j in np.flatnonzero(missing):
-                provenance.append(_provenance(region_ids[j], name, "impute-median"))
-            row[missing] = fill
-    return region_ids, matrix, provenance
+            column[hole] = float(median(column[~hole]))
+    return region_ids, np.ascontiguousarray(values.T), provenance
 
 
 def load_table(path, schema: IngestionConfig = IngestionConfig()) -> AttributeTable:
@@ -316,14 +319,14 @@ def load_table(path, schema: IngestionConfig = IngestionConfig()) -> AttributeTa
     mark, as spreadsheet exports write, is skipped. Errors name the line of
     the file. The table carries the SHA-256 of the file's bytes.
 
-    A file without a `"` whose every body cell parses is read by numpy's C
-    parser; any other file, and so every error and every missing-value
-    intervention, goes through `csv` and `_parse_cell` cell by cell.
+    Lines end at CR, LF or CRLF, as `csv` ends them. A file without a
+    `CELL_PATH_MARKS` character whose every body cell parses is read by
+    numpy's C parser; any other file, and so every error and every
+    missing-value intervention, goes through `csv` and `_parse_cell`.
     """
     path = Path(path)
     text, digest = _read(path)
-    lines = text.splitlines()
-    rows = _csv_rows(path, lines)
+    rows = _csv_rows(path, text)
     header_line, header = next(rows, (0, None))
     if header is None:
         raise ParseError(f"{path}: no rows found")
@@ -339,12 +342,9 @@ def load_table(path, schema: IngestionConfig = IngestionConfig()) -> AttributeTa
         )
 
     n = len(attribute_names)
-    clean = None if '"' in text else _parse_clean(lines[header_line:], n)
-    if clean is None:
-        region_ids, matrix, provenance = _parse_cells(path, rows, attribute_names, schema)
-    else:
-        region_ids, matrix = clean
-        provenance = []
+    region_ids, matrix, provenance = _parse_clean(text, header_line, n) or (
+        _parse_cells(path, rows, attribute_names, schema)
+    )
 
     if len(region_ids) < n + 1:
         raise DegenerateDataError(

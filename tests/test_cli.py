@@ -403,6 +403,11 @@ class TestConfigPrecedence:
             ("input", [FIXTURE], "'input'"),
             ("score.alpha", [0.5], "'score.alpha'"),
             ("score.alpha", {"value": 0.5}, "'score.alpha'"),
+            # a digit-group underscore is no number, as in a CSV cell
+            ("score.top_k", "1_0", "'score.top_k'"),
+            ("engine.epsilon", "1_0e-5", "'engine.epsilon'"),
+            ("sweep.thetas", "1_0,2", "expected comma-separated numbers"),
+            ("sweep.thetas", ["1_0", 2], "expected comma-separated numbers"),
         ],
     )
     def test_file_values_follow_the_flag_rules(self, tmp_path, capsys, key, value, message):
@@ -419,6 +424,11 @@ class TestConfigPrecedence:
         ]
         assert message in err
         assert not out.exists()
+
+    def test_text_keys_keep_their_underscores(self):
+        texts = {"input": "in_1.csv", "out": "out_1", "composite.definition": "d_1.json"}
+        config = RunConfig.resolve(overrides=texts)
+        assert {key: config[key] for key in texts} == texts
 
     def test_file_values_give_the_manifest_of_their_flags(self, tmp_path):
         values = {
@@ -610,6 +620,22 @@ class TestErrorContract:
             "--engine.varimax_tolerance", value,
         ])
         assert "varimax_tolerance" in self.assert_one_error(capsys, code, 2)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            # a digit-group underscore is no number, as in a CSV cell
+            ("sweep.thetas", "1_0,2", "expected comma-separated numbers"),
+            ("score.top_k", "1_0", "'score.top_k'"),
+            ("engine.max_iterations", "2_00", "'engine.max_iterations'"),
+            ("score.alpha", "0.2_5", "'score.alpha'"),
+        ],
+    )
+    def test_digit_group_underscore_exits_2(self, tmp_path, capsys, key, value, message):
+        out = tmp_path / "out"
+        code = main(["fit", "--input", FIXTURE, "--out", str(out), f"--{key}", value])
+        assert message in self.assert_one_error(capsys, code, 2)
         assert not out.exists()
 
     @pytest.mark.parametrize("thetas", ["1,nan,0.5", "nan", "1,inf"])
@@ -821,14 +847,20 @@ class TestTextCells:
 
     ODD_ID = 'x,"y"'
     ODD_ATTRIBUTE = "a,1"
+    IDS = (ODD_ID, "r\n2", "r,3", "r\r\n4", "R05", "R06")
 
     def test_artifacts_read_back_with_csv_reader(self, tmp_path, definition_path):
         source = Path(FIXTURE).read_text().splitlines()
         source[0] = source[0].replace("housing_density", '"a,1"')
         source[1] = source[1].replace("R01", '"x,""y"""')
+        # quoted line breaks belong to the id, as `csv` reads them
+        source[2] = source[2].replace("R02", '"r\n2"')
         source[3] = source[3].replace("R03,12.9", '"r,3",')
+        source[4] = source[4].replace("R04", '"r\r\n4"')
         data = tmp_path / "odd.csv"
-        data.write_text("\n".join(source) + "\n")
+        data.write_text("\n".join(source) + "\n", newline="")
+        policy = sitefactors.IngestionConfig(missing_policy="impute-median")
+        assert sitefactors.load_table(data, policy).region_ids == self.IDS
         common = ["--input", str(data), "--data.missing_policy", "impute-median", "--quiet"]
         ranked = ["--composite.definition", definition_path]
         runs = {
@@ -845,13 +877,27 @@ class TestTextCells:
                 rows = list(csv.reader(handle))
             assert len({len(row) for row in rows}) == 1, path
             tables[f"{path.parent.name}/{path.name}"] = rows
-        ids = {self.ODD_ID, "R02", "r,3", "R04", "R05", "R06"}
+        ids = set(self.IDS)
         assert {row[0] for row in tables["score/scores.csv"][1:]} == ids
         for name in ("score/top_suitability.csv", "sweep/top_regions_alpha_0.5.csv"):
             assert {row[1] for row in tables[name][1:]} == ids
         for name in ("describe/stats.csv", "fit/loadings.csv", "fit/weights.csv"):
             assert tables[name][1][0] == self.ODD_ATTRIBUTE
         assert tables["describe/provenance.log"] == [["r,3", "a,1", "impute-median"]]
+
+    def test_ragged_row_after_a_two_line_id_names_the_csv_line(self, tmp_path, capsys):
+        source = Path(FIXTURE).read_text().splitlines()
+        source[1] = source[1].replace("R01", '"r\r\n1"')  # lines 2 and 3
+        # U+2028 ends a line for `str.splitlines`, not for `csv`
+        source[2] = source[2].replace("R02", '"r\u20282"')  # line 4
+        source[3] = source[3].rpartition(",")[0]  # line 5, one field short
+        data = tmp_path / "ragged.csv"
+        data.write_text("\n".join(source) + "\n", encoding="utf-8", newline="")
+        out = tmp_path / "out"
+        code = main(["describe", "--input", str(data), "--out", str(out)])
+        assert code == 2
+        assert f"{data}: line 5 has 4 fields, expected 5" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # Setting values the fuzz test draws from: in range, at the edges and beyond.
@@ -896,7 +942,7 @@ def cli_cases(draw):
         cells[i][j] = draw(st.sampled_from(FUZZ_CELLS))
     ids = [f"r{i}" for i in range(r)]
     if draw(st.integers(0, 4)) == 0:
-        ids[-1] = draw(st.sampled_from(["r0", "", '"q,1"', "#c"]))
+        ids[-1] = draw(st.sampled_from(["r0", "", '"q,1"', "#c", '"r\n1"']))
     lines = ["region_id," + ",".join(f"a{k}" for k in range(n))]
     lines += [",".join([rid, *row]) for rid, row in zip(ids, cells)]
     if draw(st.integers(0, 4)) == 0:
@@ -904,7 +950,8 @@ def cli_cases(draw):
     command = draw(st.sampled_from(["describe", "fit", "score", "sweep"]))
     keys = draw(st.lists(st.sampled_from(sorted(FUZZ_SETTINGS)), max_size=2, unique=True))
     overrides = [(key, draw(st.sampled_from(FUZZ_SETTINGS[key]))) for key in keys]
-    return "\n".join(lines) + "\n", command, overrides, draw(st.integers(0, 3)) > 0
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return ending.join(lines) + ending, command, overrides, draw(st.integers(0, 3)) > 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -913,7 +960,7 @@ def test_cli_fuzz_keeps_the_exit_contract(case):
     text, command, overrides, with_definition = case
     with tempfile.TemporaryDirectory() as directory:
         root = Path(directory)
-        (root / "in.csv").write_text(text, encoding="utf-8")
+        (root / "in.csv").write_text(text, encoding="utf-8", newline="")
         argv = [command, "--input", str(root / "in.csv"), "--out", str(root / "out")]
         if with_definition:
             (root / "def.json").write_text(json.dumps(TWO_FACTOR_DEFINITION))

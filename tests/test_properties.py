@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -471,14 +472,14 @@ ordinary_cells = st.floats(allow_nan=False, allow_infinity=False).map(repr) | (
 )
 
 
-def render_csv(lines, bom, quote_ids):
+def render_csv(lines, bom, quote_ids, ending="\n"):
     rendered = [
         ",".join([f'"{line[0]}"' if quote_ids else line[0], *line[1]])
         if isinstance(line, tuple)
         else line
         for line in lines
     ]
-    return ("\ufeff" if bom else "") + "\n".join(rendered) + "\n"
+    return ("\ufeff" if bom else "") + ending.join(rendered) + ending
 
 
 @st.composite
@@ -522,14 +523,15 @@ def load_outcome(path, policy):
     return table.region_ids, table.values.view(np.uint64).tobytes(), table.provenance
 
 
-def load_outcomes(path, lines, bom=False, quote_ids=False):
+def load_outcomes(path, lines, bom=False, quote_ids=False, ending="\n"):
     """`load_outcome` under each policy, and the same for the quoted twin file.
 
     Quoted region ids send the same table through the per-cell path.
     """
     outcomes = []
     for quote in (quote_ids, True):
-        path.write_text(render_csv(lines, bom, quote), encoding="utf-8")
+        text = render_csv(lines, bom, quote, ending)
+        path.write_text(text, encoding="utf-8", newline="")
         outcomes.append(
             [load_outcome(path, p) for p in ("reject", "drop-region", "impute-median")]
         )
@@ -556,10 +558,49 @@ def test_load_table_matches_the_per_cell_parse(case):
     assert table.digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+# Every character but CR and LF at which `str.splitlines` ends a line; `csv`
+# ends lines at CR, LF and CRLF alone. After one, `#` would start a comment
+# line for the first.
+SPLITLINES_ONLY = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def test_splitlines_only_lists_every_such_character():
+    found = [
+        c
+        for c in map(chr, range(sys.maxunicode + 1))
+        if c not in "\r\n" and len(f"a{c}b".splitlines()) == 2
+    ]
+    assert found == SPLITLINES_ONLY
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_tables(), st.sampled_from(["\n", "\r\n", "\r"]), st.data())
+def test_both_parse_paths_read_the_lines_csv_reads(case, ending, data):
+    """Unquoted, a clean table is read by numpy and any other by `csv`; with
+    every region id quoted, by `csv`. Both give the same ids, value bits and
+    provenance, or the same error, whatever ends the lines, and with a
+    character inside a row at which only `str.splitlines` ends a line."""
+    lines, bom, _ = case
+    rows = [k for k, line in enumerate(lines) if isinstance(line, tuple)]
+    mark = data.draw(st.sampled_from(["", *SPLITLINES_ONLY]))
+    if rows and mark:
+        k = data.draw(st.sampled_from(rows))
+        fields = [lines[k][0], *lines[k][1]]
+        f = data.draw(st.integers(0, len(fields) - 1))
+        at = data.draw(st.integers(0, len(fields[f])))
+        mark += data.draw(st.sampled_from(["", "#"]))
+        fields[f] = fields[f][:at] + mark + fields[f][at:]
+        lines[k] = (fields[0], fields[1:])
+    with tempfile.TemporaryDirectory() as directory:
+        plain, quoted = load_outcomes(Path(directory) / "t.csv", lines, bom, ending=ending)
+    assert plain == quoted
+
+
 def test_each_edge_cell_and_bad_id_reads_like_the_per_cell_path(tmp_path):
     rows = [("r0", ["1.0", "2.0"]), ("r1", ["2.5", "0.5"]), ("r2", ["4.0", "1.0"])]
     variants = [[("r3", [cell, "7.0"])] for cell in EDGE_CELLS]
     variants += [[(rid, ["3.0", "7.0"])] for rid in ("", " ", "r0", " r1 ")]
+    variants += [[("r3", ["3.0", f"7.0{mark}# x"])] for mark in SPLITLINES_ONLY]
     for extra in variants:
         lines = ["# generated", "region_id,a,b", *rows, *extra]
         got, per_cell = load_outcomes(tmp_path / "table.csv", lines)
