@@ -102,7 +102,11 @@ def _input_path(config: RunConfig) -> Path:
 def _load(config: RunConfig):
     """The input table, and its provenance log if a cell was handled."""
     table = load_table(_input_path(config), config.settings(IngestionConfig))
-    _warn(f"missing value handled: {line}" for line in table.provenance)
+    # a quoted id may hold a line break: stderr keeps one line per warning
+    _warn(
+        "missing value handled: " + line.replace("\r", "\\r").replace("\n", "\\n")
+        for line in table.provenance
+    )
     artifacts = {"provenance.log": (write_provenance, table.provenance)}
     return table, artifacts if table.provenance else {}
 

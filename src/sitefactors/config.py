@@ -201,12 +201,19 @@ class RunConfig:
             )
 
     def alphas(self) -> tuple[float, ...]:
-        """The alpha grid, rounded so accumulated steps print cleanly."""
+        """The alpha grid, rounded so accumulated steps print cleanly.
+
+        Each alpha is clipped into [start, stop]: the last accumulated step can
+        pass the stop by a rounding error, and rounding a start of more than
+        12 decimals can fall below it.
+        """
         start = self["sweep.alpha_start"]
         stop = self["sweep.alpha_stop"]
         step = self["sweep.alpha_step"]
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(round(start + i * step, 12) for i in range(count))
+        return tuple(
+            min(max(round(start + i * step, 12), start), stop) for i in range(count)
+        )
 
     def snapshot(self) -> dict:
         """JSON-ready copy of every resolved key (for the run manifest)."""

@@ -80,39 +80,25 @@ class CorrelationMatrix:
 
 
 @dataclass(frozen=True)
-class PafStep:
-    """Loadings and updated communalities produced by one refinement pass."""
-
-    loadings: np.ndarray
-    communalities: np.ndarray
-    delta: float
-
-
-@dataclass(frozen=True)
 class FactorModel:
     """Everything the extraction produces.
 
     `eigenvalues` are the retained values from the first pass (the ones the
-    retention rule saw; variance percentages derive from them), while
-    `final_eigenvalues`/`eigenvectors`/`adjusted_diagonal` describe the last
-    eigendecomposition, kept so the residual of that decomposition can be
-    audited; `communalities` are the last pass's estimates, read-only.
-    Rotation-related fields are None until the rotation and scoring stages
-    fill them in.
+    retention rule saw; variance percentages derive from them);
+    `trajectory` holds each pass's clamped communalities, read-only, and
+    `communalities` is its last entry. Rotation-related fields are None
+    until the rotation and scoring stages fill them in.
     """
 
     attribute_names: tuple[str, ...]
     unrotated_loadings: np.ndarray
     eigenvalues: np.ndarray
-    final_eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    adjusted_diagonal: np.ndarray
     communalities: np.ndarray
     iterations_used: int
     converged: bool
     variance_percent: np.ndarray
     cumulative_variance_percent: np.ndarray
-    trajectory: tuple[PafStep, ...]
+    trajectory: tuple[np.ndarray, ...]
     warnings: tuple[str, ...] = ()
     rotated_loadings: np.ndarray | None = None
     rotation: np.ndarray | None = None
@@ -165,8 +151,6 @@ class DominantAttributeMap:
     """Assignment of each attribute to its highest-|loading| factor."""
 
     assigned_factor: np.ndarray  # per attribute, 0-based factor index
-    assigned_loading: np.ndarray  # the signed loading behind the assignment
-    per_factor: tuple[tuple[int, ...], ...]  # attribute indices by falling |loading|
     warnings: tuple[str, ...] = ()
 
 
@@ -233,7 +217,7 @@ def paf_iterate(
     """
     comm, start_warnings = initial_communalities(corr, config)
     adjusted = corr.values.copy()
-    trajectory: list[PafStep] = []
+    trajectory: list[np.ndarray] = []
     heywood_hits: list[int] = []
     worst_heywood = 1.0
 
@@ -251,18 +235,20 @@ def paf_iterate(
             selection_eigenvalues = values[:n_factors].copy()
         retained = values[:n_factors]
         loadings = vectors[:, :n_factors] * np.sqrt(np.maximum(retained, 0.0))
+        # freed now, the N x N matrix is not alive beside the next pass's eigh
+        del vectors
         updated = np.sum(loadings**2, axis=1)
         if np.any(updated > 1.0):
             heywood_hits.append(iteration)
             worst_heywood = max(worst_heywood, float(updated.max()))
             updated = np.clip(updated, 0.0, 1.0)
         delta = float(np.sum(np.abs(updated - comm)))
-        trajectory.append(PafStep(loadings=loadings, communalities=updated, delta=delta))
+        updated.setflags(write=False)
+        trajectory.append(updated)
         comm = updated
         if delta < config.epsilon:
             break
 
-    # the loop variables hold the last pass, whose diagonal is still in place
     converged = delta < config.epsilon
     warnings = list(start_warnings)
     if heywood_hits:
@@ -275,15 +261,11 @@ def paf_iterate(
             f"non_convergence: iteration cap {config.max_iterations} reached "
             f"(last total change {delta:.3e})"
         )
-    comm.setflags(write=False)
     pct, cumulative = variance_accounting(selection_eigenvalues, corr.size)
     return FactorModel(
         attribute_names=(),
         unrotated_loadings=loadings,
         eigenvalues=selection_eigenvalues,
-        final_eigenvalues=retained,
-        eigenvectors=vectors[:, :n_factors],
-        adjusted_diagonal=np.diag(adjusted).copy(),
         communalities=comm,
         iterations_used=iteration,
         converged=converged,
@@ -434,33 +416,19 @@ def factor_scores(weights, a: StandardizedMatrix) -> FactorScores:
 def dominant_attributes(rotated_loadings) -> DominantAttributeMap:
     """Assign every attribute to the factor with the largest absolute loading.
 
-    Exact ties go to the lowest factor index and are logged. Per-factor lists
-    are ordered by falling absolute loading (attribute index breaks ties).
+    Exact ties go to the lowest factor index and are logged.
     """
-    loadings = np.asarray(rotated_loadings, dtype=float)
-    n, m = loadings.shape
-    magnitude = np.abs(loadings)
+    magnitude = np.abs(np.asarray(rotated_loadings, dtype=float))
     assigned = magnitude.argmax(axis=1)
     warnings = []
-    for i in range(n):
+    for i in range(len(assigned)):
         ties = np.flatnonzero(magnitude[i] == magnitude[i, assigned[i]])
         if len(ties) > 1:
             warnings.append(
                 f"tie: attribute index {i} has equal |loading| on factors "
                 f"{[int(t) + 1 for t in ties]}; assigned to factor {int(assigned[i]) + 1}"
             )
-    signed = loadings[np.arange(n), assigned]
-    per_factor = []
-    for factor in range(m):
-        members = np.flatnonzero(assigned == factor)
-        ordered = sorted(members, key=lambda i: (-magnitude[i, factor], i))
-        per_factor.append(tuple(int(i) for i in ordered))
-    return DominantAttributeMap(
-        assigned_factor=assigned,
-        assigned_loading=signed,
-        per_factor=tuple(per_factor),
-        warnings=tuple(warnings),
-    )
+    return DominantAttributeMap(assigned_factor=assigned, warnings=tuple(warnings))
 
 
 def sign_canonicalize(model: FactorModel) -> FactorModel:

@@ -114,13 +114,13 @@ def test_criterion_3_oracle_equivalence():
         reference = oracle.paf_trajectory(corr.values, start)
         assert model.n_factors == reference["m"] == 2
         assert len(model.trajectory) == len(reference["steps"])
-        for step, (ref_loads, ref_comm) in zip(model.trajectory, reference["steps"]):
-            assert_allclose(
-                oracle.canon_column_signs(step.loadings),
-                oracle.canon_column_signs(ref_loads),
-                atol=1e-8,
-            )
-            assert_allclose(step.communalities, ref_comm, atol=1e-8)
+        for communalities, (_, ref_comm) in zip(model.trajectory, reference["steps"]):
+            assert_allclose(communalities, ref_comm, atol=1e-8)
+        assert_allclose(
+            oracle.canon_column_signs(model.unrotated_loadings),
+            oracle.canon_column_signs(reference["steps"][-1][0]),
+            atol=1e-8,
+        )
 
         rotated = varimax(model.unrotated_loadings)
         norms = np.sqrt((model.unrotated_loadings**2).sum(axis=1))
@@ -212,6 +212,7 @@ def test_criterion_4_invariant_suite():
         # pipeline invariants on factor-structured data
         for matrix in pipeline_instances(100):
             corr = correlation(matrix)
+            start, _ = initial_communalities(corr)
             model = paf_iterate(corr)
             rotated = varimax(model.unrotated_loadings)
             weights, _ = scoring_weights(corr, rotated.loadings)
@@ -220,11 +221,9 @@ def test_criterion_4_invariant_suite():
             scores = weights @ matrix.values
             assert np.abs(scores.mean(axis=1)).max() < 1e-8
             adjusted = corr.values.copy()
-            np.fill_diagonal(adjusted, model.adjusted_diagonal)
-            residual = (
-                adjusted @ model.eigenvectors
-                - model.eigenvectors * model.final_eigenvalues
-            )
+            np.fill_diagonal(adjusted, (start, *model.trajectory)[-2])
+            loads = model.unrotated_loadings
+            residual = adjusted @ loads - loads * (loads**2).sum(axis=0)
             assert np.abs(residual).max() < 1e-8
 
         # score-level invariants on random composite sets

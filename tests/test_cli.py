@@ -271,6 +271,16 @@ class TestSweep:
             )
             assert [row[2] for row in rows] == [f"{v:.6f}" for v in expected]
 
+    def test_last_step_past_the_stop_is_capped(self, tmp_path, definition_path):
+        # 3 steps of this size end at 1.000000000033 before the cap
+        code = main([
+            "sweep", "--input", FIXTURE, "--out", str(tmp_path),
+            "--composite.definition", definition_path,
+            "--sweep.alpha_step", "0.3333333333444444",
+        ])
+        assert code == 0
+        assert (tmp_path / "top_regions_alpha_1.0.csv").exists()
+
     def test_single_region_counts_stay_binary(self, tmp_path, definition_path):
         # single data region is below the datamodel floor, so approximate with
         # the smallest legal fixture and a threshold bracketing
@@ -840,6 +850,22 @@ class TestProvenance:
         assert code == expected_code
         assert "missing value handled" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_line_break_in_an_id_keeps_one_stderr_line(self, tmp_path, capsys):
+        source = Path(FIXTURE).read_text().splitlines()
+        source[1] = source[1].replace("R01,5.1", '"r\n1",')
+        data = tmp_path / "holes.csv"
+        data.write_text("\n".join(source) + "\n", newline="")
+        code = main([
+            "describe", "--input", str(data), "--out", str(tmp_path),
+            "--data.missing_policy", "impute-median",
+        ])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "r\\n1" in err
+        assert all(line.startswith("warning:") for line in err.splitlines())
+        with open(tmp_path / "provenance.log", newline="", encoding="utf-8") as handle:
+            assert list(csv.reader(handle)) == [["r\n1", "housing_density", "impute-median"]]
 
 
 class TestTextCells:

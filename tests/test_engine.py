@@ -139,13 +139,8 @@ class TestPafIterate:
         assert model.converged is frozen.CONVERGED
         assert_allclose(model.eigenvalues, frozen.SELECTION_EIGENVALUES, atol=1e-10)
         assert len(model.trajectory) == len(reference["steps"])
-        for step, (ref_loads, ref_comm) in zip(model.trajectory, reference["steps"]):
-            assert_allclose(
-                oracle.canon_column_signs(step.loadings),
-                oracle.canon_column_signs(ref_loads),
-                atol=1e-8,
-            )
-            assert_allclose(step.communalities, ref_comm, atol=1e-8)
+        for communalities, (_, ref_comm) in zip(model.trajectory, reference["steps"]):
+            assert_allclose(communalities, ref_comm, atol=1e-8)
         assert_allclose(
             oracle.canon_column_signs(model.unrotated_loadings),
             frozen.UNROTATED_CANON,
@@ -156,20 +151,28 @@ class TestPafIterate:
 
     def test_communalities_stay_clamped(self, matrix):
         model = paf_iterate(correlation(matrix))
-        for step in model.trajectory:
-            assert step.communalities.min() >= 0.0
-            assert step.communalities.max() <= 1.0
+        for communalities in model.trajectory:
+            assert communalities.min() >= 0.0
+            assert communalities.max() <= 1.0
 
     def test_eigenpair_residuals(self, matrix):
+        # the last pass decomposed R with the diagonal of the pass before it;
+        # its loadings are eigenvectors scaled so that L'L is diagonal
         corr = correlation(matrix)
+        start, _ = initial_communalities(corr)
         model = paf_iterate(corr)
         adjusted = corr.values.copy()
-        np.fill_diagonal(adjusted, model.adjusted_diagonal)
-        for m in range(model.n_factors):
-            residual = adjusted @ model.eigenvectors[:, m] - (
-                model.final_eigenvalues[m] * model.eigenvectors[:, m]
-            )
-            assert np.abs(residual).max() < 1e-8
+        np.fill_diagonal(adjusted, (start, *model.trajectory)[-2])
+        loads = model.unrotated_loadings
+        residual = adjusted @ loads - loads * (loads**2).sum(axis=0)
+        assert np.abs(residual).max() < 1e-8
+
+    def test_fitted_model_owns_its_arrays(self, matrix):
+        model = fit_factor_model(matrix)
+        arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
+        for array in arrays + list(model.trajectory):
+            assert array.base is None
+        assert all(c.shape == (matrix.n_attributes,) for c in model.trajectory)
 
     def test_variance_accounting_fields(self, model):
         n = len(model.attribute_names)
@@ -210,8 +213,8 @@ class TestPafIterate:
         heywood = [w for w in model.warnings if w.startswith("heywood:")]
         assert len(heywood) == 1
         assert model.communalities.max() <= 1.0
-        for step in model.trajectory:
-            assert step.communalities.max() <= 1.0
+        for communalities in model.trajectory:
+            assert communalities.max() <= 1.0
 
 
 class TestVarianceAccounting:
@@ -335,7 +338,6 @@ class TestDominantAttributes:
     def test_argmax_of_absolute_loading(self):
         result = dominant_attributes(np.array([[0.1, -0.9], [0.8, 0.2]]))
         assert result.assigned_factor.tolist() == [1, 0]
-        assert result.assigned_loading[0] == pytest.approx(-0.9)
         assert result.warnings == ()
 
     def test_exact_tie_goes_to_lowest_index_and_logs(self):
@@ -343,11 +345,6 @@ class TestDominantAttributes:
         assert result.assigned_factor[0] == 0
         assert len(result.warnings) == 1
         assert result.warnings[0].startswith("tie:")
-
-    def test_per_factor_lists_sorted_by_magnitude(self):
-        loads = np.array([[0.4, 0.1], [0.9, 0.0], [-0.6, 0.2], [0.0, -0.8]])
-        result = dominant_attributes(loads)
-        assert result.per_factor == ((1, 2, 0), (3,))
 
 
 class TestSignCanonicalize:

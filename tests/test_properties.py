@@ -8,7 +8,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -31,6 +31,7 @@ from sitefactors import (
     describe,
     fit_factor_model,
     generate,
+    initial_communalities,
     load_table,
     paf_iterate,
     quadrant_classify,
@@ -43,6 +44,7 @@ from sitefactors import (
     varimax,
 )
 from sitefactors.composite import CompositeScores, _rank_normalize
+from sitefactors.config import RunConfig
 from sitefactors.datamodel import _parse_cell
 from sitefactors.engine import _pair_waves
 
@@ -244,10 +246,12 @@ def test_factor_score_rows_are_centered(seed):
 def test_final_eigenpairs_satisfy_their_decomposition(seed):
     matrix, _ = pipeline_case(seed)
     corr = correlation(matrix)
+    start, _ = initial_communalities(corr)
     model = paf_iterate(corr)
     adjusted = corr.values.copy()
-    np.fill_diagonal(adjusted, model.adjusted_diagonal)
-    residual = adjusted @ model.eigenvectors - model.eigenvectors * model.final_eigenvalues
+    np.fill_diagonal(adjusted, (start, *model.trajectory)[-2])
+    loads = model.unrotated_loadings
+    residual = adjusted @ loads - loads * (loads**2).sum(axis=0)
     assert np.abs(residual).max() < 1e-8
 
 
@@ -324,6 +328,23 @@ def random_composites(seed, n_regions=60):
         ),
     )
     return scores, definition
+
+
+@SETTINGS
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(1e-3, 1.0))
+@example(0.0, 1.0, 0.3333333333444444)
+def test_accepted_alpha_grids_stay_within_start_and_stop(a, b, step):
+    start, stop = sorted((a, b))
+    overrides = {
+        "sweep.alpha_start": start,
+        "sweep.alpha_stop": stop,
+        "sweep.alpha_step": step,
+    }
+    try:
+        alphas = RunConfig.resolve(overrides=overrides).alphas()
+    except SiteFactorsError:
+        return
+    assert all(start <= alpha <= stop for alpha in alphas)
 
 
 @SETTINGS

@@ -242,7 +242,7 @@ def edge_model(model):
 
 def test_loadings_csv_matches_per_cell_rendering(tmp_path, edge_model):
     assigned = np.arange(len(IDS)) % 2
-    dominant = DominantAttributeMap(assigned, CELLS, ((), ()))
+    dominant = DominantAttributeMap(assigned)
     path = write_loadings_csv(tmp_path / "loadings.csv", edge_model, dominant)
     columns = [*edge_model.rotated_loadings.T, edge_model.communalities]
     labels = [f"factor_{m + 1}" for m in assigned]
