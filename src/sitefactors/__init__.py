@@ -39,7 +39,6 @@ from .datamodel import (
 )
 from .engine import (
     CorrelationMatrix,
-    DominantAttributeMap,
     EngineConfig,
     FactorModel,
     FactorScores,

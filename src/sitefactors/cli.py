@@ -24,7 +24,7 @@ from .composite import (
 )
 from .config import KEYS, RunConfig, load_config_file
 from .datamodel import IngestionConfig, describe, load_table, standardize
-from .engine import EngineConfig, dominant_attributes, factor_scores, fit_factor_model
+from .engine import EngineConfig, factor_scores, fit_factor_model
 from .errors import ParseError, SiteFactorsError
 from .reports import (
     grid_label,
@@ -124,28 +124,25 @@ def _fit(config: RunConfig):
     table, artifacts = _load(config)
     matrix = standardize(table)
     model = fit_factor_model(matrix, config.settings(EngineConfig))
-    dominant = dominant_attributes(model.rotated_loadings)
-    warnings = list(model.warnings) + list(dominant.warnings)
-    _warn(warnings)
-    manifest = _manifest(config, table, model, warnings)
-    artifacts["manifest.json"] = (write_manifest, manifest)
-    return table, matrix, model, dominant, artifacts
+    _warn(model.warnings)
+    artifacts["manifest.json"] = (write_manifest, _manifest(config, table, model))
+    return table, matrix, model, artifacts
 
 
-def _manifest(config: RunConfig, table, model, warnings) -> dict:
+def _manifest(config: RunConfig, table, model) -> dict:
     # the digest pins the input content, so reruns into any directory of the
-    # same data and settings produce byte-identical artifacts
-    snapshot = {
-        key: value for key, value in config.snapshot().items() if key not in LOCATIONS
-    }
+    # same data and settings produce byte-identical artifacts; json sorts
+    # the keys and writes the tuples as lists
     return {
-        "config": snapshot,
+        "config": {
+            key: value for key, value in config.values.items() if key not in LOCATIONS
+        },
         "input_digest": table.digest,
         "tool_version": __version__,
         "converged": model.converged,
         "iterations_used": model.iterations_used,
         "n_factors": model.n_factors,
-        "warnings": list(warnings),
+        "warnings": list(model.warnings),
     }
 
 
@@ -162,8 +159,8 @@ def cmd_describe(config: RunConfig):
 
 
 def cmd_fit(config: RunConfig):
-    table, _, model, dominant, artifacts = _fit(config)
-    artifacts["loadings.csv"] = (write_loadings_csv, model, dominant)
+    table, _, model, artifacts = _fit(config)
+    artifacts["loadings.csv"] = (write_loadings_csv, model)
     artifacts["eigenvalues.csv"] = (write_eigenvalues_csv, model)
     artifacts["weights.csv"] = (write_weights_csv, model)
     summary = (
@@ -174,7 +171,7 @@ def cmd_fit(config: RunConfig):
 
 
 def cmd_score(config: RunConfig):
-    _, matrix, model, _, artifacts = _fit(config)
+    _, matrix, model, artifacts = _fit(config)
     definition = _definition(config, model.n_factors)
     scores = factor_scores(model.scoring_weights, matrix)
     alpha = config["score.alpha"]
@@ -188,7 +185,7 @@ def cmd_score(config: RunConfig):
 
 
 def cmd_sweep(config: RunConfig):
-    _, matrix, model, _, artifacts = _fit(config)
+    _, matrix, model, artifacts = _fit(config)
     definition = _definition(config, model.n_factors)
     scores = factor_scores(model.scoring_weights, matrix)
     composites = composite_scores(scores, definition)

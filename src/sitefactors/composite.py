@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .datamodel import median
+from .datamodel import median, read_json_object
 from .engine import FactorScores, factor_labels
 from .errors import (
     AlphaRangeError,
@@ -43,7 +42,6 @@ class Typology(enum.Enum):
 class FactorAssignment:
     dimension: Dimension
     sign: int
-    note: str = ""
 
     def __post_init__(self):
         # True and 1.0 equal 1 in Python; only the integers are signs
@@ -84,7 +82,7 @@ class CompositeDefinition:
         return CompositeDefinition(
             factor_labels=self.factor_labels,
             assignments=tuple(
-                FactorAssignment(dimension=a.dimension, sign=1, note=a.note)
+                FactorAssignment(dimension=a.dimension, sign=1)
                 for a in self.assignments
             ),
         )
@@ -131,21 +129,19 @@ def default_definition(n_factors: int) -> CompositeDefinition:
     return CompositeDefinition(
         factor_labels=factor_labels(n_factors),
         assignments=tuple(
-            FactorAssignment(dimension=dim, sign=sign, note="built-in default")
+            FactorAssignment(dimension=dim, sign=sign)
             for dim, sign in _DEFAULT_SIX
         ),
     )
 
 
 def load_definition(path) -> CompositeDefinition:
-    """Read a JSON mapping of factor label -> {dimension, sign[, note]}."""
+    """Read a JSON mapping of factor label -> {dimension, sign}.
+
+    Any other key of an entry, such as a "note", is ignored.
+    """
     path = Path(path)
-    # besides malformed JSON, ValueError covers bytes that are not UTF-8 and
-    # integers longer than Python's int-string digit limit
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise SchemaError(f"cannot read composite definition {path}: {exc}") from exc
+    raw = read_json_object(path, "composite definition")
     if not isinstance(raw, dict) or not raw:
         raise SchemaError(f"{path}: expected a non-empty JSON object")
     labels = []
@@ -160,9 +156,7 @@ def load_definition(path) -> CompositeDefinition:
                 f"{path}: entry {label!r} has unknown dimension {entry['dimension']!r}"
             ) from exc
         try:
-            assignment = FactorAssignment(
-                dimension=dimension, sign=entry["sign"], note=str(entry.get("note", ""))
-            )
+            assignment = FactorAssignment(dimension=dimension, sign=entry["sign"])
         except SchemaError as exc:
             raise SchemaError(f"{path}: entry {label!r} {exc}") from exc
         labels.append(label)

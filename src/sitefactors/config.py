@@ -7,7 +7,6 @@ read by the same rule as the text of its flag.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -15,7 +14,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .composite import TypologyConfig
-from .datamodel import IngestionConfig, read_number
+from .datamodel import IngestionConfig, read_json_object, read_number
 from .engine import EngineConfig
 from .errors import AlphaRangeError, SchemaError
 from .reports import grid_label
@@ -96,14 +95,9 @@ def _parser(default):
 
 
 def load_config_file(path) -> dict:
-    """A JSON object of dotted keys; unknown keys are rejected."""
+    """A JSON object of dotted keys; unknown and repeated keys are rejected."""
     path = Path(path)
-    # besides malformed JSON, ValueError covers bytes that are not UTF-8 and
-    # integers longer than Python's int-string digit limit
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise SchemaError(f"cannot read config {path}: {exc}") from exc
+    raw = read_json_object(path, "config")
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: config must be a JSON object")
     unknown = sorted(set(raw) - set(KEYS))
@@ -214,11 +208,3 @@ class RunConfig:
         return tuple(
             min(max(round(start + i * step, 12), start), stop) for i in range(count)
         )
-
-    def snapshot(self) -> dict:
-        """JSON-ready copy of every resolved key (for the run manifest)."""
-        out = {}
-        for key in sorted(self.values):
-            value = self.values[key]
-            out[key] = list(value) if isinstance(value, tuple) else value
-        return out

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import math
 import re
 from collections import Counter
@@ -61,12 +62,22 @@ def median(values):
     the mean of the middle slice, and give NaN wherever the last place holds
     one. `np.median` checks for NaN through `np.ma`, which imports
     `numpy.ma` (about 10 ms) on first use.
+
+    One lane differs on purpose: where two finite middle values sum past the
+    float64 range, np.median gives an infinity and this the finite mean.
     """
     values = np.asarray(values, dtype=float)
     half, odd = divmod(values.shape[-1], 2)
     middle = [half] if odd else [half - 1, half]
     part = np.partition(values, [*middle, -1], axis=-1)
-    result = np.mean(part[..., middle[0] : half + 1], axis=-1)
+    pair = part[..., middle[0] : half + 1]
+    with np.errstate(over="ignore"):
+        result = np.mean(pair, axis=-1)
+    # halved, finite values cannot pair up past the float64 range, and at
+    # these magnitudes halving and doubling are exact: no bit is lost
+    lost = np.isinf(result) & np.isfinite(pair).all(axis=-1)
+    if lost.any():
+        result = np.where(lost, np.mean(pair / 2, axis=-1) * 2, result)
     last = part[..., -1]
     # [()] makes a 0-d result the numpy scalar np.median returns
     return np.where(np.isnan(last), last, result)[()]
@@ -204,6 +215,24 @@ def _read(path: Path) -> tuple[str, str]:
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return text, hashlib.sha256(data).hexdigest()
+
+
+def read_json_object(path: Path, what: str):
+    """The JSON of the `what` file at `path`; a key repeated in any of its
+    objects, which `json` would drop without a word, is a SchemaError."""
+
+    def unique_keys(pairs):
+        keys = [key for key, _ in pairs]
+        if len(set(keys)) != len(keys):
+            raise SchemaError(f"{path}: repeated keys {_duplicates(keys)} in {what}")
+        return dict(pairs)
+
+    # besides malformed JSON, ValueError covers bytes that are not UTF-8 and
+    # integers longer than Python's int-string digit limit
+    try:
+        return json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
+    except (OSError, ValueError) as exc:
+        raise SchemaError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _csv_rows(path, text: str):
@@ -377,16 +406,13 @@ def describe(table: AttributeTable) -> DescriptiveStats:
     kurt_scale = 1.0 / (n - 2) / (n - 3) if n >= 4 else np.nan
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         mean = values.mean(axis=1)
-        medians = median(values)
-        # finite values can sum (or pair up for the median) past the float64
-        # range; scaled by a power of two at least n they cannot, and at these
-        # magnitudes the scaling is exact, so the rescued rows lose no bits
-        lost = np.isinf(mean) | np.isinf(medians)
+        # finite values can sum past the float64 range; scaled by a power of
+        # two at least n they cannot, and at these magnitudes the scaling is
+        # exact, so the rescued rows lose no bits
+        lost = np.isinf(mean)
         if lost.any():
             scale = 2.0 ** (n - 1).bit_length()
-            scaled = values[lost] / scale
-            mean[lost] = scaled.mean(axis=1) * scale
-            medians[lost] = median(scaled) * scale
+            mean[lost] = (values[lost] / scale).mean(axis=1) * scale
         centred = values - mean[:, None]
         squared = centred**2
         m2 = squared.mean(axis=1)
@@ -421,7 +447,7 @@ def describe(table: AttributeTable) -> DescriptiveStats:
         mean=mean,
         std=std,
         min=values.min(axis=1),
-        median=medians,
+        median=median(values),
         max=values.max(axis=1),
         skewness=skew,
         kurtosis=kurt,

@@ -65,10 +65,6 @@ class CorrelationMatrix:
         object.__setattr__(self, "values", values)
         values.setflags(write=False)
 
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
-
     @cached_property
     def condition_number(self) -> float:
         """2-norm condition number, taken once and shared by every stage.
@@ -81,32 +77,38 @@ class CorrelationMatrix:
 
 @dataclass(frozen=True)
 class FactorModel:
-    """Everything the extraction produces.
+    """Everything the extraction produces, each result once.
 
     `eigenvalues` are the retained values from the first pass (the ones the
-    retention rule saw; variance percentages derive from them);
-    `trajectory` holds each pass's clamped communalities, read-only, and
-    `communalities` is its last entry. Rotation-related fields are None
-    until the rotation and scoring stages fill them in.
+    retention rule saw; variance percentages derive from them with
+    `variance_accounting`); `trajectory` holds each pass's clamped
+    communalities, read-only. `dominant_factor` is the 0-based factor of
+    each attribute's largest |rotated loading|. The rotation-stage fields
+    are None in the model `paf_iterate` returns.
     """
 
     attribute_names: tuple[str, ...]
     unrotated_loadings: np.ndarray
     eigenvalues: np.ndarray
-    communalities: np.ndarray
-    iterations_used: int
     converged: bool
-    variance_percent: np.ndarray
-    cumulative_variance_percent: np.ndarray
     trajectory: tuple[np.ndarray, ...]
     warnings: tuple[str, ...] = ()
     rotated_loadings: np.ndarray | None = None
     rotation: np.ndarray | None = None
     scoring_weights: np.ndarray | None = None
+    dominant_factor: np.ndarray | None = None
 
     @property
     def n_factors(self) -> int:
         return self.unrotated_loadings.shape[1]
+
+    @property
+    def communalities(self) -> np.ndarray:
+        return self.trajectory[-1]
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.trajectory)
 
     @property
     def factor_labels(self) -> tuple[str, ...]:
@@ -144,14 +146,6 @@ class VarimaxResult:
     criterion_history: tuple[float, ...]
     sweeps_used: int
     converged: bool
-
-
-@dataclass(frozen=True)
-class DominantAttributeMap:
-    """Assignment of each attribute to its highest-|loading| factor."""
-
-    assigned_factor: np.ndarray  # per attribute, 0-based factor index
-    warnings: tuple[str, ...] = ()
 
 
 def correlation(a: StandardizedMatrix) -> CorrelationMatrix:
@@ -261,16 +255,11 @@ def paf_iterate(
             f"non_convergence: iteration cap {config.max_iterations} reached "
             f"(last total change {delta:.3e})"
         )
-    pct, cumulative = variance_accounting(selection_eigenvalues, corr.size)
     return FactorModel(
         attribute_names=(),
         unrotated_loadings=loadings,
         eigenvalues=selection_eigenvalues,
-        communalities=comm,
-        iterations_used=iteration,
         converged=converged,
-        variance_percent=pct,
-        cumulative_variance_percent=cumulative,
         trajectory=tuple(trajectory),
         warnings=tuple(warnings),
     )
@@ -413,10 +402,11 @@ def factor_scores(weights, a: StandardizedMatrix) -> FactorScores:
     return FactorScores(values=weights @ a.values, region_ids=a.region_ids)
 
 
-def dominant_attributes(rotated_loadings) -> DominantAttributeMap:
+def dominant_attributes(rotated_loadings):
     """Assign every attribute to the factor with the largest absolute loading.
 
-    Exact ties go to the lowest factor index and are logged.
+    Returns (assigned, warnings): the 0-based factor per attribute, and a
+    warning per exact tie, which goes to the lowest factor index.
     """
     magnitude = np.abs(np.asarray(rotated_loadings, dtype=float))
     assigned = magnitude.argmax(axis=1)
@@ -428,28 +418,26 @@ def dominant_attributes(rotated_loadings) -> DominantAttributeMap:
                 f"tie: attribute index {i} has equal |loading| on factors "
                 f"{[int(t) + 1 for t in ties]}; assigned to factor {int(assigned[i]) + 1}"
             )
-    return DominantAttributeMap(assigned_factor=assigned, warnings=tuple(warnings))
+    return assigned, tuple(warnings)
 
 
-def sign_canonicalize(model: FactorModel) -> FactorModel:
+def sign_canonicalize(rotated, rotation, weights):
     """Flip rotated factor columns whose largest-|loading| entry is negative.
 
     One vector of +-1 flips the rotated loadings' columns, the rotation's
-    columns and the scoring weights' rows of a fitted model, so it stays
-    internally consistent and downstream scores pick the flip up
-    automatically. Idempotent, and independent of eigen solver sign
-    conventions.
+    columns and the scoring weights' rows, which are returned in that
+    order, so a model built from them stays internally consistent and
+    downstream scores pick the flip up automatically. Idempotent, and
+    independent of eigen solver sign conventions.
     """
-    rotated = model.rotated_loadings
     columns = np.arange(rotated.shape[1])
     pivots = np.abs(rotated).argmax(axis=0)
     flip = np.where(rotated[pivots, columns] < 0, -1.0, 1.0)
     # C order whatever the inputs' order: the scores matmul rounds by layout
-    return replace(
-        model,
-        rotated_loadings=np.multiply(rotated, flip, order="C"),
-        rotation=np.multiply(model.rotation, flip, order="C"),
-        scoring_weights=np.multiply(model.scoring_weights, flip[:, None], order="C"),
+    return (
+        np.multiply(rotated, flip, order="C"),
+        np.multiply(rotation, flip, order="C"),
+        np.multiply(weights, flip[:, None], order="C"),
     )
 
 
@@ -459,8 +447,9 @@ def fit_factor_model(
     """Full extraction chain on a standardized matrix.
 
     Runs correlation -> start communalities -> principal-axis iteration ->
-    varimax -> scoring weights, then sign-canonicalizes. The returned model
-    carries the attribute names and all accumulated warnings.
+    varimax -> scoring weights, then sign-canonicalizes and assigns each
+    attribute its dominant factor. The returned model carries the attribute
+    names and all accumulated warnings, the tie warnings last.
     """
     corr = correlation(a)
     model = paf_iterate(corr, config)
@@ -478,12 +467,16 @@ def fit_factor_model(
             f"reached (last criterion change {history[-1] - history[-2]:.3e})",
         )
     weights, ridge_warnings = scoring_weights(corr, rotated.loadings, config)
-    model = replace(
+    loadings, rotation, weights = sign_canonicalize(
+        rotated.loadings, rotated.rotation, weights
+    )
+    dominant, tie_warnings = dominant_attributes(loadings)
+    return replace(
         model,
         attribute_names=a.attribute_names,
-        rotated_loadings=rotated.loadings,
-        rotation=rotated.rotation,
+        rotated_loadings=loadings,
+        rotation=rotation,
         scoring_weights=weights,
-        warnings=model.warnings + rotation_warnings + ridge_warnings,
+        dominant_factor=dominant,
+        warnings=model.warnings + rotation_warnings + ridge_warnings + tie_warnings,
     )
-    return sign_canonicalize(model)

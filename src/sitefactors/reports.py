@@ -16,7 +16,7 @@ import numpy as np
 
 from .composite import RegionScores, SweepGrid
 from .datamodel import DescriptiveStats, quoted
-from .engine import DominantAttributeMap, FactorModel
+from .engine import FactorModel, variance_accounting
 
 
 def fmt(value) -> str:
@@ -126,20 +126,19 @@ def write_stats_csv(path, stats: DescriptiveStats) -> Path:
     return write_table(path, [header], "%s,%s", table_rows(labels, columns))
 
 
-def write_loadings_csv(
-    path, model: FactorModel, dominant: DominantAttributeMap
-) -> Path:
+def write_loadings_csv(path, model: FactorModel) -> Path:
     labels = model.factor_labels
     header = "attribute," + ",".join(labels) + ",communality,dominant_factor"
     columns = [model.rotated_loadings, model.communalities]
-    dominant_labels = (labels[m] for m in dominant.assigned_factor)
+    dominant_labels = (labels[m] for m in model.dominant_factor)
     rows = table_rows(quoted(model.attribute_names), columns, dominant_labels)
     return write_table(path, [header], "%s,%s,%s", rows)
 
 
 def write_eigenvalues_csv(path, model: FactorModel) -> Path:
     header = "factor,eigenvalue,pct_variance,cumulative_pct"
-    percents = [model.variance_percent, model.cumulative_variance_percent]
+    n_attributes = model.unrotated_loadings.shape[0]
+    percents = variance_accounting(model.eigenvalues, n_attributes)
     rows = table_rows(model.factor_labels, [model.eigenvalues, *percents])
     return write_table(path, [header], "%s,%s", rows)
 

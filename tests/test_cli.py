@@ -593,6 +593,42 @@ class TestErrorContract:
         assert message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "option, content, repeated",
+        [
+            (
+                "--composite.definition",
+                '{"factor_1": {"dimension": "attractiveness", "sign": 1},'
+                ' "factor_2": {"dimension": "suitability", "sign": 1},'
+                ' "factor_1": {"dimension": "suitability", "sign": -1}}',
+                "['factor_1']",
+            ),
+            ("--config", '{"score.alpha": 0.2, "score.alpha": 0.9}', "['score.alpha']"),
+            (
+                "--composite.definition",
+                '{"factor_1": {"dimension": "attractiveness", "sign": 1, "sign": -1},'
+                ' "factor_2": {"dimension": "suitability", "sign": 1}}',
+                "['sign']",
+            ),
+        ],
+        ids=["definition-label", "config-key", "sign-in-an-entry"],
+    )
+    def test_repeated_json_key_exits_2(
+        self, tmp_path, capsys, definition_path, option, content, repeated
+    ):
+        # without the repeat each file is valid, and json would keep the
+        # last value without a word
+        path = tmp_path / "file.json"
+        path.write_text(content)
+        out = tmp_path / "out"
+        code = main([
+            "score", "--input", FIXTURE, "--out", str(out),
+            "--composite.definition", definition_path, option, str(path),
+        ])
+        err = self.assert_one_error(capsys, code, 2)
+        assert f"SchemaError: {path}: repeated keys {repeated}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [("score.top_k", "0"), ("sweep.top_k", "-1")])
     @pytest.mark.parametrize("command", ["describe", "fit", "score", "sweep", "synth"])
     def test_top_k_below_one_exits_2_unwritten(
@@ -784,6 +820,17 @@ class TestDefinitionLabels:
         assert all(label in err for label in named)
         assert not (out / "scores.csv").exists()
 
+    def test_readme_example_entries_load_with_their_note(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Composite definition file")[1]
+        example = section.split("```json\n")[1].split("```")[0]
+        assert '"note"' in example
+        path = tmp_path / "readme.json"
+        path.write_text(example)
+        definition = sitefactors.load_definition(path)
+        assert definition.factor_labels == ("factor_1", "factor_2", "factor_3")
+        assert definition.signs.tolist() == [1, -1, 1]
+
 
 def test_cli_import_leaves_scipy_out():
     package_root = str(Path(sitefactors.__file__).resolve().parents[1])
@@ -850,6 +897,21 @@ class TestProvenance:
         assert code == expected_code
         assert "missing value handled" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_imputed_median_of_an_overflowing_pair_stays_finite(self, tmp_path, capsys):
+        # the two middle values of column a sum past the float64 range
+        huge = "8.98846567431158e+307"
+        rows = [f"r1,{huge},1", f"r2,{huge},2", "r3,,3", f"r4,{huge},5", "r5,1.0,4"]
+        data = tmp_path / "huge.csv"
+        data.write_text("region_id,a,b\n" + "\n".join(rows) + "\n")
+        policy = ["--data.missing_policy", "impute-median"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["describe", "--input", str(data), "--out", str(tmp_path / "out"), *policy])
+            table = sitefactors.load_table(data, sitefactors.IngestionConfig(*policy[1:]))
+        assert code == 0
+        assert "RuntimeWarning" not in capsys.readouterr().err
+        assert table.values[0, 2] == float(huge)
 
     def test_line_break_in_an_id_keeps_one_stderr_line(self, tmp_path, capsys):
         source = Path(FIXTURE).read_text().splitlines()

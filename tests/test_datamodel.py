@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -383,10 +383,18 @@ MEDIAN_VALUES = st.sampled_from(
         elements=MEDIAN_VALUES,
     ),
 )
+@example(np.array([[1.7e308, 1.7e308], [-1.7e308, -1e308]]))
 def test_median_is_bit_equal_to_numpy(values):
+    def numpy_median(values, axis=None):
+        # where np.median overflows on a finite middle pair, the mean of
+        # the halved pair doubled, exact at that scale
+        expected = np.median(values, axis=axis)
+        halved = np.median(values / 2, axis=axis) * 2
+        return np.where(np.isinf(expected) & np.isfinite(halved), halved, expected)[()]
+
     with np.errstate(invalid="ignore", over="ignore"):
-        rows, expected_rows = median(values), np.median(values, axis=1)
-        flat, expected_flat = median(values[0]), np.median(values[0])
+        rows, expected_rows = median(values), numpy_median(values, axis=1)
+        flat, expected_flat = median(values[0]), numpy_median(values[0])
     assert rows.tobytes() == expected_rows.tobytes()
     assert type(flat) is type(expected_flat) is np.float64
     assert np.asarray(flat).tobytes() == np.asarray(expected_flat).tobytes()

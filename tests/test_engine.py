@@ -176,14 +176,9 @@ class TestPafIterate:
 
     def test_variance_accounting_fields(self, model):
         n = len(model.attribute_names)
-        assert_allclose(
-            model.variance_percent, model.eigenvalues / n * 100.0, atol=1e-6
-        )
-        assert_allclose(
-            model.cumulative_variance_percent,
-            np.cumsum(model.variance_percent),
-            atol=1e-12,
-        )
+        pct, cumulative = variance_accounting(model.eigenvalues, n)
+        assert_allclose(pct, model.eigenvalues / n * 100.0, atol=1e-6)
+        assert_allclose(cumulative, np.cumsum(pct), atol=1e-12)
         assert np.all(model.eigenvalues >= 1.0)
 
     def test_iteration_cap_flags_nonconvergence(self, matrix):
@@ -336,36 +331,40 @@ class TestFactorScores:
 
 class TestDominantAttributes:
     def test_argmax_of_absolute_loading(self):
-        result = dominant_attributes(np.array([[0.1, -0.9], [0.8, 0.2]]))
-        assert result.assigned_factor.tolist() == [1, 0]
-        assert result.warnings == ()
+        assigned, warnings = dominant_attributes(np.array([[0.1, -0.9], [0.8, 0.2]]))
+        assert assigned.tolist() == [1, 0]
+        assert warnings == ()
 
     def test_exact_tie_goes_to_lowest_index_and_logs(self):
-        result = dominant_attributes(np.array([[0.5, 0.5], [0.1, 0.9]]))
-        assert result.assigned_factor[0] == 0
-        assert len(result.warnings) == 1
-        assert result.warnings[0].startswith("tie:")
+        assigned, warnings = dominant_attributes(np.array([[0.5, 0.5], [0.1, 0.9]]))
+        assert assigned[0] == 0
+        assert len(warnings) == 1
+        assert warnings[0].startswith("tie:")
+
+    def test_fitted_model_carries_the_assignment(self, matrix, model):
+        assert np.array_equal(
+            fit_factor_model(matrix).dominant_factor,
+            dominant_attributes(model.rotated_loadings)[0],
+        )
 
 
 class TestSignCanonicalize:
     def test_negative_pivot_column_flips(self, model):
-        import dataclasses
-
-        flipped = dataclasses.replace(
-            model,
-            rotated_loadings=model.rotated_loadings * np.array([-1.0, 1.0]),
-            rotation=model.rotation * np.array([-1.0, 1.0]),
-            scoring_weights=model.scoring_weights * np.array([[-1.0], [1.0]]),
+        rotated, rotation, weights = sign_canonicalize(
+            model.rotated_loadings * np.array([-1.0, 1.0]),
+            model.rotation * np.array([-1.0, 1.0]),
+            model.scoring_weights * np.array([[-1.0], [1.0]]),
         )
-        fixed = sign_canonicalize(flipped)
-        assert_allclose(fixed.rotated_loadings, model.rotated_loadings)
-        assert_allclose(fixed.scoring_weights, model.scoring_weights)
-        assert_allclose(fixed.rotation, model.rotation)
+        assert_allclose(rotated, model.rotated_loadings)
+        assert_allclose(weights, model.scoring_weights)
+        assert_allclose(rotation, model.rotation)
 
     def test_idempotent(self, model):
-        again = sign_canonicalize(model)
-        assert_allclose(again.rotated_loadings, model.rotated_loadings)
-        assert_allclose(again.scoring_weights, model.scoring_weights)
+        rotated, _, weights = sign_canonicalize(
+            model.rotated_loadings, model.rotation, model.scoring_weights
+        )
+        assert_allclose(rotated, model.rotated_loadings)
+        assert_allclose(weights, model.scoring_weights)
 
     def test_pivot_rule(self):
         column = np.array([-0.8, 0.3])

@@ -14,7 +14,6 @@ from hypothesis.extra.numpy import arrays
 from sitefactors import (
     AttributeTable,
     DescriptiveStats,
-    DominantAttributeMap,
     Quadrant,
     RegionScores,
     SweepGrid,
@@ -22,6 +21,7 @@ from sitefactors import (
     Typology,
     generate,
     synth,
+    variance_accounting,
     write_synth_csv,
 )
 from sitefactors.datamodel import quoted
@@ -232,30 +232,27 @@ def edge_model(model):
         attribute_names=IDS,
         unrotated_loadings=np.zeros((len(IDS), 2)),
         rotated_loadings=loadings,
-        communalities=np.roll(CELLS, 7),
+        trajectory=(np.zeros(len(IDS)), np.roll(CELLS, 7)),
         eigenvalues=CELLS[[2, 8]],
-        variance_percent=CELLS[[1, 9]],
-        cumulative_variance_percent=CELLS[[0, 10]],
         scoring_weights=np.vstack([np.roll(CELLS, 2), -CELLS]),
+        dominant_factor=np.arange(len(IDS)) % 2,
     )
 
 
 def test_loadings_csv_matches_per_cell_rendering(tmp_path, edge_model):
-    assigned = np.arange(len(IDS)) % 2
-    dominant = DominantAttributeMap(assigned)
-    path = write_loadings_csv(tmp_path / "loadings.csv", edge_model, dominant)
-    columns = [*edge_model.rotated_loadings.T, edge_model.communalities]
-    labels = [f"factor_{m + 1}" for m in assigned]
+    path = write_loadings_csv(tmp_path / "loadings.csv", edge_model)
+    columns = [*edge_model.rotated_loadings.T, np.roll(CELLS, 7)]
+    labels = [f"factor_{m + 1}" for m in np.arange(len(IDS)) % 2]
     rows = [row + "," + label for row, label in zip(per_cell_rows(IDS, columns), labels)]
     expect(path, "attribute,factor_1,factor_2,communality,dominant_factor", rows)
 
 
 def test_eigenvalues_csv_matches_per_cell_rendering(tmp_path, edge_model):
     path = write_eigenvalues_csv(tmp_path / "eigenvalues.csv", edge_model)
-    rows = per_cell_rows(
-        ("factor_1", "factor_2"),
-        [CELLS[[2, 8]], CELLS[[1, 9]], CELLS[[0, 10]]],
-    )
+    # 1e15 and NaN: the percentages are 1e15 / 11 * 100 and NaN, and so
+    # are their running totals
+    percents = variance_accounting(CELLS[[2, 8]], len(IDS))
+    rows = per_cell_rows(("factor_1", "factor_2"), [CELLS[[2, 8]], *percents])
     expect(path, "factor,eigenvalue,pct_variance,cumulative_pct", rows)
 
 
