@@ -20,7 +20,6 @@ from .composite import (
     TypologyConfig,
     composite_scores,
     default_definition,
-    factor_contributions,
     load_definition,
     quadrant_classify,
     score_regions,
@@ -66,7 +65,6 @@ from .errors import (
     SchemaError,
     SingularCorrelationError,
     SiteFactorsError,
-    ZeroDenominatorError,
     ZeroVarianceError,
 )
 from .synth import SynthConfig, generate, planted_loadings, write_synth_csv

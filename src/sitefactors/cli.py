@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -111,14 +112,6 @@ def _load(config: RunConfig):
     return table, artifacts if table.provenance else {}
 
 
-def _definition(config: RunConfig, n_factors: int):
-    path = config["composite.definition"]
-    definition = load_definition(path) if path else default_definition(n_factors)
-    if config["composite.binary"]:
-        definition = definition.as_binary()
-    return definition
-
-
 def _fit(config: RunConfig):
     """Shared fit stage: table -> standardized matrix -> canonical model."""
     table, artifacts = _load(config)
@@ -146,6 +139,19 @@ def _manifest(config: RunConfig, table, model) -> dict:
     }
 
 
+def _scored(config: RunConfig):
+    """Shared score stage: the fit's factor scores and the bound definition."""
+    _, matrix, model, artifacts = _fit(config)
+    path = config["composite.definition"]
+    if path:
+        definition = load_definition(path, model.n_factors)
+    else:
+        definition = default_definition(model.n_factors)
+    if config["composite.binary"]:
+        definition = tuple(replace(a, sign=1) for a in definition)
+    return factor_scores(model.scoring_weights, matrix), definition, artifacts
+
+
 # Each subcommand only computes: it returns its artifacts, a dict of file
 # name -> (writer, *args), and its summary line; `main` writes them.
 
@@ -171,9 +177,7 @@ def cmd_fit(config: RunConfig):
 
 
 def cmd_score(config: RunConfig):
-    _, matrix, model, artifacts = _fit(config)
-    definition = _definition(config, model.n_factors)
-    scores = factor_scores(model.scoring_weights, matrix)
+    scores, definition, artifacts = _scored(config)
     alpha = config["score.alpha"]
     regions = score_regions(scores, definition, alpha, config.settings(TypologyConfig))
     artifacts["scores.csv"] = (write_scores_csv, regions)
@@ -185,9 +189,7 @@ def cmd_score(config: RunConfig):
 
 
 def cmd_sweep(config: RunConfig):
-    _, matrix, model, artifacts = _fit(config)
-    definition = _definition(config, model.n_factors)
-    scores = factor_scores(model.scoring_weights, matrix)
+    scores, definition, artifacts = _scored(config)
     composites = composite_scores(scores, definition)
     k = min(config["sweep.top_k"], len(composites.region_ids))
     grid = sweep(composites, config.alphas(), config["sweep.thetas"], k)

@@ -15,7 +15,6 @@ from .errors import (
     IncompleteDefinitionError,
     KRangeError,
     SchemaError,
-    ZeroDenominatorError,
 )
 
 
@@ -49,62 +48,9 @@ class FactorAssignment:
             raise SchemaError(f"sign must be the integer 1 or -1, got {self.sign!r}")
 
 
-@dataclass(frozen=True)
-class CompositeDefinition:
-    """Signed assignment of every factor to exactly one composite dimension."""
-
-    factor_labels: tuple[str, ...]
-    assignments: tuple[FactorAssignment, ...]
-
-    def __post_init__(self):
-        if len(self.factor_labels) != len(self.assignments):
-            raise IncompleteDefinitionError(
-                "one assignment per factor label is required"
-            )
-        if len(set(self.factor_labels)) != len(self.factor_labels):
-            raise SchemaError("duplicate factor labels in composite definition")
-
-    @property
-    def n_factors(self) -> int:
-        return len(self.assignments)
-
-    @property
-    def signs(self) -> np.ndarray:
-        return np.array([a.sign for a in self.assignments], dtype=float)
-
-    def indices(self, dimension: Dimension) -> tuple[int, ...]:
-        return tuple(
-            m for m, a in enumerate(self.assignments) if a.dimension is dimension
-        )
-
-    def as_binary(self) -> "CompositeDefinition":
-        """Same dimension split with every sign forced to +1."""
-        return CompositeDefinition(
-            factor_labels=self.factor_labels,
-            assignments=tuple(
-                FactorAssignment(dimension=a.dimension, sign=1)
-                for a in self.assignments
-            ),
-        )
-
-    def for_factors(self, n_factors: int) -> "CompositeDefinition":
-        """The assignments of `factor_1`..`factor_<n>`, in model order.
-
-        Entries are matched by label, so their order in a definition file
-        does not matter; every retained factor must be named exactly once.
-        """
-        labels = factor_labels(n_factors)
-        missing = [label for label in labels if label not in self.factor_labels]
-        unknown = [label for label in self.factor_labels if label not in labels]
-        if missing or unknown:
-            raise IncompleteDefinitionError(
-                f"composite definition must name the {n_factors} retained factors "
-                f"once each: missing {missing}, unknown {unknown}"
-            )
-        by_label = dict(zip(self.factor_labels, self.assignments))
-        return CompositeDefinition(
-            factor_labels=labels, assignments=tuple(by_label[label] for label in labels)
-        )
+# The signed assignment of each retained factor, in model order: entry m
+# belongs to `factor_<m+1>`.
+CompositeDefinition = tuple[FactorAssignment, ...]
 
 
 # Shipped default for six retained factors: the second and fourth factors
@@ -126,26 +72,24 @@ def default_definition(n_factors: int) -> CompositeDefinition:
             f"no built-in composite definition for {n_factors} factors; "
             "provide one via composite.definition"
         )
-    return CompositeDefinition(
-        factor_labels=factor_labels(n_factors),
-        assignments=tuple(
-            FactorAssignment(dimension=dim, sign=sign)
-            for dim, sign in _DEFAULT_SIX
-        ),
+    return tuple(
+        FactorAssignment(dimension=dim, sign=sign) for dim, sign in _DEFAULT_SIX
     )
 
 
-def load_definition(path) -> CompositeDefinition:
-    """Read a JSON mapping of factor label -> {dimension, sign}.
+def load_definition(path, n_factors: int) -> CompositeDefinition:
+    """Read a JSON mapping of factor label -> {dimension, sign} and bind it to
+    the retained factors `factor_1`..`factor_<n>`, in model order.
 
-    Any other key of an entry, such as a "note", is ignored.
+    Entries are matched by label, so their order in the file does not
+    matter; every retained factor must be named exactly once. Any other key
+    of an entry, such as a "note", is ignored.
     """
     path = Path(path)
     raw = read_json_object(path, "composite definition")
     if not isinstance(raw, dict) or not raw:
         raise SchemaError(f"{path}: expected a non-empty JSON object")
-    labels = []
-    assignments = []
+    by_label = {}
     for label, entry in raw.items():
         if not isinstance(entry, dict) or "dimension" not in entry or "sign" not in entry:
             raise SchemaError(f"{path}: entry {label!r} needs 'dimension' and 'sign'")
@@ -156,14 +100,18 @@ def load_definition(path) -> CompositeDefinition:
                 f"{path}: entry {label!r} has unknown dimension {entry['dimension']!r}"
             ) from exc
         try:
-            assignment = FactorAssignment(dimension=dimension, sign=entry["sign"])
+            by_label[label] = FactorAssignment(dimension=dimension, sign=entry["sign"])
         except SchemaError as exc:
             raise SchemaError(f"{path}: entry {label!r} {exc}") from exc
-        labels.append(label)
-        assignments.append(assignment)
-    return CompositeDefinition(
-        factor_labels=tuple(labels), assignments=tuple(assignments)
-    )
+    labels = factor_labels(n_factors)
+    missing = [label for label in labels if label not in by_label]
+    unknown = [label for label in by_label if label not in labels]
+    if missing or unknown:
+        raise IncompleteDefinitionError(
+            f"composite definition must name the {n_factors} retained factors "
+            f"once each: missing {missing}, unknown {unknown}"
+        )
+    return tuple(by_label[label] for label in labels)
 
 
 @dataclass(frozen=True)
@@ -198,7 +146,6 @@ class RegionScores:
     factor_scores: np.ndarray  # M x R
     suitability: np.ndarray
     attractiveness: np.ndarray
-    alpha: float
     v_scores: np.ndarray
     quadrants: tuple[Quadrant, ...]
     typologies: tuple[Typology, ...]
@@ -216,15 +163,19 @@ def composite_scores(
     With every sign at +1 this is the plain binary split of factors into the
     two dimensions.
     """
-    definition = definition.for_factors(scores.n_factors)
-    signed = definition.signs[:, None] * scores.values
-    suit_idx = list(definition.indices(Dimension.SUITABILITY))
-    attr_idx = list(definition.indices(Dimension.ATTRACTIVENESS))
+    if len(definition) != scores.n_factors:
+        raise IncompleteDefinitionError(
+            f"composite definition has {len(definition)} assignments for "
+            f"{scores.n_factors} factors"
+        )
+    signs = np.array([a.sign for a in definition], dtype=float)
+    signed = signs[:, None] * scores.values
+    rows = {dim: [m for m, a in enumerate(definition) if a.dimension is dim] for dim in Dimension}
     # a dimension without factors sums an empty selection: R positive zeros
     return CompositeScores(
         region_ids=scores.region_ids,
-        suitability=signed[suit_idx, :].sum(axis=0),
-        attractiveness=signed[attr_idx, :].sum(axis=0),
+        suitability=signed[rows[Dimension.SUITABILITY], :].sum(axis=0),
+        attractiveness=signed[rows[Dimension.ATTRACTIVENESS], :].sum(axis=0),
     )
 
 
@@ -297,7 +248,6 @@ def score_regions(
         factor_scores=scores.values,
         suitability=composites.suitability,
         attractiveness=composites.attractiveness,
-        alpha=alpha,
         v_scores=v,
         quadrants=quadrants,
         typologies=typologies,
@@ -365,26 +315,3 @@ def top_k(region_ids, values, k: int):
     order = np.lexsort((ids, -values))[:k]
     return [(region_ids[j], float(values[j])) for j in order]
 
-
-def factor_contributions(
-    scores: FactorScores, definition: CompositeDefinition, regions
-):
-    """Absolute percentage contribution of each factor to the listed regions.
-
-    Each row sums to 100; a region whose factor scores are all zero has no
-    meaningful breakdown and raises.
-    """
-    definition = definition.for_factors(scores.n_factors)
-    index = {rid: j for j, rid in enumerate(scores.region_ids)}
-    missing = [rid for rid in regions if rid not in index]
-    if missing:
-        raise KRangeError(f"unknown region ids {missing}")
-    signed = definition.signs[:, None] * scores.values
-    rows = np.empty((len(regions), scores.n_factors))
-    for row, rid in enumerate(regions):
-        magnitudes = np.abs(signed[:, index[rid]])
-        denom = magnitudes.sum()
-        if denom == 0.0:
-            raise ZeroDenominatorError(f"region {rid!r} has all-zero factor scores")
-        rows[row] = magnitudes / denom * 100.0
-    return rows

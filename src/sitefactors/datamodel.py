@@ -228,10 +228,11 @@ def read_json_object(path: Path, what: str):
         return dict(pairs)
 
     # besides malformed JSON, ValueError covers bytes that are not UTF-8 and
-    # integers longer than Python's int-string digit limit
+    # integers longer than Python's int-string digit limit; `json` recurses
+    # once per level of nesting, so deep nesting is a RecursionError
     try:
         return json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise SchemaError(f"cannot read {what} {path}: {exc}") from exc
 
 

@@ -65,12 +65,6 @@ class AlphaRangeError(SiteFactorsError):
     exit_code = 5
 
 
-class ZeroDenominatorError(SiteFactorsError):
-    """All factor scores of a region are zero; contributions undefined."""
-
-    exit_code = 5
-
-
 class KRangeError(SiteFactorsError):
     """Requested ranking depth outside [1, number of regions]."""
 

@@ -290,18 +290,6 @@ def top_k(region_ids, values, k):
     return [rid for rid, _ in order[:k]]
 
 
-def contributions(f, regions_idx):
-    """Absolute per-factor share of each region's total absolute score."""
-    f = np.asarray(f, dtype=float)
-    m = f.shape[0]
-    out = np.zeros((len(regions_idx), m))
-    for row, j in enumerate(regions_idx):
-        denom = sum(abs(f[mm, j]) for mm in range(m))
-        for mm in range(m):
-            out[row, mm] = abs(f[mm, j]) / denom * 100.0
-    return out
-
-
 def moments(row):
     """count/mean/std/min/median/max plus adjusted skewness and excess kurtosis."""
     row = [float(x) for x in row]

@@ -17,7 +17,6 @@ from scipy.optimize import linear_sum_assignment
 import expected_small4x6 as frozen
 import oracle
 from sitefactors import (
-    CompositeDefinition,
     Dimension,
     FactorAssignment,
     FactorScores,
@@ -140,12 +139,9 @@ def test_criterion_3_oracle_equivalence():
             scores.values, oracle.factor_scores(weights, matrix.values), atol=1e-8
         )
 
-        definition = CompositeDefinition(
-            factor_labels=("factor_1", "factor_2"),
-            assignments=(
-                FactorAssignment(dimension=Dimension.SUITABILITY, sign=1),
-                FactorAssignment(dimension=Dimension.ATTRACTIVENESS, sign=1),
-            ),
+        definition = (
+            FactorAssignment(dimension=Dimension.SUITABILITY, sign=1),
+            FactorAssignment(dimension=Dimension.ATTRACTIVENESS, sign=1),
         )
         composites = composite_scores(scores, definition)
         suit_ref, attr_ref = oracle.composite_scores(scores.values, [0], [1], [1.0, 1.0])
@@ -245,12 +241,9 @@ def test_criterion_4_invariant_suite():
                 values=np.vstack([suit, attr]),
                 region_ids=tuple(f"r{j:03d}" for j in range(n_regions)),
             )
-            definition = CompositeDefinition(
-                factor_labels=("factor_1", "factor_2"),
-                assignments=(
-                    FactorAssignment(dimension=Dimension.SUITABILITY, sign=1),
-                    FactorAssignment(dimension=Dimension.ATTRACTIVENESS, sign=1),
-                ),
+            definition = (
+                FactorAssignment(dimension=Dimension.SUITABILITY, sign=1),
+                FactorAssignment(dimension=Dimension.ATTRACTIVENESS, sign=1),
             )
             composites = composite_scores(scores, definition)
             grid = sweep(
@@ -266,12 +259,9 @@ def test_criterion_4_invariant_suite():
 
 def test_criterion_5_endpoint_ranking_equivalence():
     with criterion(5, "v-score rankings at the endpoints equal component rankings"):
-        definition = CompositeDefinition(
-            factor_labels=("factor_1", "factor_2"),
-            assignments=(
-                FactorAssignment(dimension=Dimension.SUITABILITY, sign=1),
-                FactorAssignment(dimension=Dimension.ATTRACTIVENESS, sign=1),
-            ),
+        definition = (
+            FactorAssignment(dimension=Dimension.SUITABILITY, sign=1),
+            FactorAssignment(dimension=Dimension.ATTRACTIVENESS, sign=1),
         )
         for seed in range(100):
             rng = np.random.default_rng(seed)

@@ -1,3 +1,4 @@
+import ast
 import collections
 import csv
 import dataclasses
@@ -539,7 +540,6 @@ class TestKeyTable:
             "DimensionMismatchError": 5,
             "IncompleteDefinitionError": 5,
             "AlphaRangeError": 5,
-            "ZeroDenominatorError": 5,
             "KRangeError": 5,
         }
         declared = {
@@ -574,8 +574,13 @@ class TestErrorContract:
 
     @pytest.mark.parametrize(
         "content",
-        [b'{"score.alpha\xff": 0.5}', b'{"score.top_k": ' + b"9" * 5000 + b"}"],
-        ids=["not-utf8", "5000-digit-integer"],
+        [
+            b'{"score.alpha\xff": 0.5}',
+            b'{"score.top_k": ' + b"9" * 5000 + b"}",
+            # `json` recurses once per level and gives up near 1,000 levels
+            b'{"sweep.thetas": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        ],
+        ids=["not-utf8", "5000-digit-integer", "100000-deep"],
     )
     @pytest.mark.parametrize(
         "option, message",
@@ -827,9 +832,24 @@ class TestDefinitionLabels:
         assert '"note"' in example
         path = tmp_path / "readme.json"
         path.write_text(example)
-        definition = sitefactors.load_definition(path)
-        assert definition.factor_labels == ("factor_1", "factor_2", "factor_3")
-        assert definition.signs.tolist() == [1, -1, 1]
+        definition = sitefactors.load_definition(path, 3)
+        assert [a.sign for a in definition] == [1, -1, 1]
+
+
+def test_readme_library_block_runs(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use")[1].split("```python\n")[1].split("```")[0]
+    assert main(["synth", "--out", str(tmp_path), "--quiet"]) == 0
+    (tmp_path / "synthetic.csv").rename(tmp_path / "data.csv")
+    package_root = str(Path(sitefactors.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=package_root)
+    result = subprocess.run(
+        [sys.executable, "-c", block], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    top = ast.literal_eval(result.stdout.splitlines()[0])
+    assert len(top) == 10
+    assert all(isinstance(rid, str) and isinstance(v, float) for rid, v in top)
 
 
 def test_cli_import_leaves_scipy_out():

@@ -8,7 +8,6 @@ import expected_small4x6 as frozen
 import oracle
 from sitefactors import (
     AlphaRangeError,
-    CompositeDefinition,
     Dimension,
     FactorAssignment,
     FactorScores,
@@ -18,10 +17,8 @@ from sitefactors import (
     SchemaError,
     Typology,
     TypologyConfig,
-    ZeroDenominatorError,
     composite_scores,
     default_definition,
-    factor_contributions,
     factor_scores,
     load_definition,
     quadrant_classify,
@@ -35,17 +32,12 @@ from sitefactors.composite import CompositeScores
 
 def simple_definition(n, suit_idx=(0,), signs=None):
     signs = signs or [1] * n
-    return CompositeDefinition(
-        factor_labels=tuple(f"factor_{m + 1}" for m in range(n)),
-        assignments=tuple(
-            FactorAssignment(
-                dimension=Dimension.SUITABILITY
-                if m in suit_idx
-                else Dimension.ATTRACTIVENESS,
-                sign=signs[m],
-            )
-            for m in range(n)
-        ),
+    return tuple(
+        FactorAssignment(
+            dimension=Dimension.SUITABILITY if m in suit_idx else Dimension.ATTRACTIVENESS,
+            sign=signs[m],
+        )
+        for m in range(n)
     )
 
 
@@ -83,7 +75,10 @@ class TestCompositeScores:
 
     def test_binary_mode_drops_signs(self):
         scores = scores_from(np.ones((6, 1)))
-        result = composite_scores(scores, default_definition(6).as_binary())
+        binary = tuple(
+            FactorAssignment(dimension=a.dimension, sign=1) for a in default_definition(6)
+        )
+        result = composite_scores(scores, binary)
         assert result.suitability[0] == pytest.approx(3.0)
         assert result.attractiveness[0] == pytest.approx(3.0)
 
@@ -135,29 +130,31 @@ class TestDefinitionFile:
                 }
             )
         )
-        definition = load_definition(path)
-        assert definition.n_factors == 2
-        assert definition.assignments[1].sign == -1
-        assert definition.indices(Dimension.SUITABILITY) == (0,)
+        definition = load_definition(path, 2)
+        assert [a.sign for a in definition] == [1, -1]
+        assert [a.dimension for a in definition] == [
+            Dimension.SUITABILITY,
+            Dimension.ATTRACTIVENESS,
+        ]
 
     def test_bad_dimension_rejected(self, tmp_path):
         path = tmp_path / "definition.json"
         path.write_text(json.dumps({"factor_1": {"dimension": "niceness", "sign": 1}}))
         with pytest.raises(SchemaError):
-            load_definition(path)
+            load_definition(path, 1)
 
     def test_bad_sign_rejected(self, tmp_path):
         path = tmp_path / "definition.json"
         path.write_text(json.dumps({"factor_1": {"dimension": "suitability", "sign": 0}}))
         with pytest.raises(SchemaError):
-            load_definition(path)
+            load_definition(path, 1)
 
     @pytest.mark.parametrize("sign", [True, 1.0, -1.0, "1"])
     def test_sign_must_be_an_integer(self, tmp_path, sign):
         path = tmp_path / "definition.json"
         path.write_text(json.dumps({"factor_1": {"dimension": "suitability", "sign": sign}}))
         with pytest.raises(SchemaError, match="entry 'factor_1' sign must be the integer"):
-            load_definition(path)
+            load_definition(path, 1)
 
 
 class TestVScore:
@@ -433,34 +430,6 @@ class TestTopK:
         ids = at_one.region_ids
         assert top_k(ids, at_one.v_scores, 40) == top_k(ids, at_one.suitability, 40)
         assert top_k(ids, at_zero.v_scores, 40) == top_k(ids, at_zero.attractiveness, 40)
-
-
-class TestFactorContributions:
-    def test_single_nonzero_factor_owns_all(self):
-        scores = scores_from([[1.5], [0.0]])
-        rows = factor_contributions(scores, simple_definition(2), ["r01"])
-        assert_allclose(rows[0], [100.0, 0.0])
-
-    def test_equal_magnitudes_split_evenly(self):
-        scores = scores_from(np.full((6, 1), -0.7))
-        rows = factor_contributions(scores, default_definition(6), ["r01"])
-        assert_allclose(rows[0], 100.0 / 6.0)
-
-    def test_fixture_matches_oracle(self, fixture_scores, fixture_definition):
-        rows = factor_contributions(
-            fixture_scores, fixture_definition, list(fixture_scores.region_ids)
-        )
-        assert_allclose(rows, frozen.CONTRIBUTIONS, atol=1e-8)
-        assert_allclose(rows.sum(axis=1), 100.0, atol=1e-8)
-
-    def test_all_zero_region_raises(self):
-        scores = scores_from([[0.0, 1.0], [0.0, 2.0], [0.0, 0.5]])
-        with pytest.raises(ZeroDenominatorError):
-            factor_contributions(scores, simple_definition(3), ["r01"])
-
-    def test_unknown_region_rejected(self, fixture_scores, fixture_definition):
-        with pytest.raises(KRangeError):
-            factor_contributions(fixture_scores, fixture_definition, ["nowhere"])
 
 
 class TestRegionScores:

@@ -1,12 +1,15 @@
 """Property-based invariant checks over randomized instances."""
 
 import hashlib
+import json
+import re
 import sys
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -16,12 +19,13 @@ from scipy import stats as spstats
 import oracle
 from sitefactors import (
     AttributeTable,
-    CompositeDefinition,
     Dimension,
     EngineConfig,
     FactorAssignment,
     FactorScores,
+    IncompleteDefinitionError,
     IngestionConfig,
+    SchemaError,
     SiteFactorsError,
     SynthConfig,
     TypologyConfig,
@@ -31,6 +35,7 @@ from sitefactors import (
     fit_factor_model,
     generate,
     initial_communalities,
+    load_definition,
     load_table,
     paf_iterate,
     quadrant_classify,
@@ -313,12 +318,9 @@ def random_composites(seed, n_regions=60):
         values=rng.normal(size=(2, n_regions), scale=rng.uniform(0.5, 3.0)),
         region_ids=tuple(f"r{j:03d}" for j in range(n_regions)),
     )
-    definition = CompositeDefinition(
-        factor_labels=("factor_1", "factor_2"),
-        assignments=(
-            FactorAssignment(dimension=Dimension.SUITABILITY, sign=1),
-            FactorAssignment(dimension=Dimension.ATTRACTIVENESS, sign=1),
-        ),
+    definition = (
+        FactorAssignment(dimension=Dimension.SUITABILITY, sign=1),
+        FactorAssignment(dimension=Dimension.ATTRACTIVENESS, sign=1),
     )
     return scores, definition
 
@@ -632,3 +634,52 @@ def test_each_edge_cell_and_bad_id_reads_like_the_per_cell_path(tmp_path):
         lines = ["# generated", "region_id,a,b", *rows, *extra]
         got, per_cell = load_outcomes(tmp_path / "table.csv", lines)
         assert got == per_cell, extra
+
+
+@st.composite
+def definition_entries(draw):
+    """M in 1..8 and the label, dimension text and sign of each retained
+    factor, in a drawn order."""
+    m = draw(st.integers(1, 8))
+    entries = [
+        (
+            f"factor_{k + 1}",
+            draw(st.sampled_from([d.value for d in Dimension] + ["Suitability"])),
+            draw(st.sampled_from([1, -1])),
+        )
+        for k in range(m)
+    ]
+    return m, draw(st.permutations(entries))
+
+
+@SETTINGS
+@given(definition_entries(), st.data())
+def test_load_definition_binds_in_label_order(case, data):
+    m, entries = case
+    by_label = {label: (text, sign) for label, text, sign in entries}
+    expected = tuple(
+        FactorAssignment(dimension=Dimension(text.lower()), sign=sign)
+        for text, sign in (by_label[f"factor_{k + 1}"] for k in range(m))
+    )
+    k = data.draw(st.integers(0, m - 1))
+    extra = (f"factor_{m + 1}", "suitability", 1)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "definition.json"
+
+        def load(items):
+            body = {label: {"dimension": text, "sign": sign} for label, text, sign in items}
+            path.write_text(json.dumps(body))
+            return load_definition(path, m)
+
+        assert load(entries) == expected
+        if m > 1:
+            missing = re.escape(f"missing ['{entries[k][0]}']")
+            with pytest.raises(IncompleteDefinitionError, match=missing):
+                load(entries[:k] + entries[k + 1:])
+        unknown = re.escape(f"unknown ['{extra[0]}']")
+        with pytest.raises(IncompleteDefinitionError, match=unknown):
+            load([*entries[:k], extra, *entries[k:]])
+        # each entry is checked before the labels are bound to the factors
+        bad = (*entries[k][:2], data.draw(st.sampled_from([0, 2, True, 1.0])))
+        with pytest.raises(SchemaError, match="sign must be the integer"):
+            load([*entries[:k], bad, *entries[k + 1:], extra])

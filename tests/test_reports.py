@@ -121,7 +121,6 @@ def test_scores_csv_of_several_chunks_matches_per_cell_rendering(tmp_path):
         factor_scores=values[:, :2].T,
         suitability=values[:, 2],
         attractiveness=values[:, 3],
-        alpha=0.5,
         v_scores=values[:, 4],
         quadrants=(Quadrant.BOTH_LOW,) * n,
         typologies=(Typology.NONE,) * n,
@@ -164,7 +163,6 @@ def test_scores_csv_matches_per_cell_rendering(tmp_path):
         factor_scores=np.vstack([values, values[::-1]]),
         suitability=np.where(values == 1.5, np.nan, -values),
         attractiveness=values * 3.0,
-        alpha=0.5,
         v_scores=np.roll(values, 3),
         quadrants=tuple(Quadrant)[:2] * 4,
         typologies=tuple(Typology) * 2,
