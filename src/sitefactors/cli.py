@@ -115,14 +115,15 @@ def _load(config: RunConfig):
 def _fit(config: RunConfig):
     """Shared fit stage: table -> standardized matrix -> canonical model."""
     table, artifacts = _load(config)
-    matrix = standardize(table)
+    matrix, digest = standardize(table), table.digest
+    del table  # the fit holds the standardized copy alone
     model = fit_factor_model(matrix, config.settings(EngineConfig))
     _warn(model.warnings)
-    artifacts["manifest.json"] = (write_manifest, _manifest(config, table, model))
-    return table, matrix, model, artifacts
+    artifacts["manifest.json"] = (write_manifest, _manifest(config, digest, model))
+    return matrix, model, artifacts
 
 
-def _manifest(config: RunConfig, table, model) -> dict:
+def _manifest(config: RunConfig, digest: str, model) -> dict:
     # the digest pins the input content, so reruns into any directory of the
     # same data and settings produce byte-identical artifacts; json sorts
     # the keys and writes the tuples as lists
@@ -130,7 +131,7 @@ def _manifest(config: RunConfig, table, model) -> dict:
         "config": {
             key: value for key, value in config.values.items() if key not in LOCATIONS
         },
-        "input_digest": table.digest,
+        "input_digest": digest,
         "tool_version": __version__,
         "converged": model.converged,
         "iterations_used": model.iterations_used,
@@ -141,7 +142,7 @@ def _manifest(config: RunConfig, table, model) -> dict:
 
 def _scored(config: RunConfig):
     """Shared score stage: the fit's factor scores and the bound definition."""
-    _, matrix, model, artifacts = _fit(config)
+    matrix, model, artifacts = _fit(config)
     path = config["composite.definition"]
     if path:
         definition = load_definition(path, model.n_factors)
@@ -165,12 +166,12 @@ def cmd_describe(config: RunConfig):
 
 
 def cmd_fit(config: RunConfig):
-    table, _, model, artifacts = _fit(config)
+    matrix, model, artifacts = _fit(config)
     artifacts["loadings.csv"] = (write_loadings_csv, model)
     artifacts["eigenvalues.csv"] = (write_eigenvalues_csv, model)
     artifacts["weights.csv"] = (write_weights_csv, model)
     summary = (
-        f"N={table.n_attributes} R={table.n_regions} M={model.n_factors} "
+        f"N={matrix.n_attributes} R={matrix.n_regions} M={model.n_factors} "
         f"converged={model.converged} iterations={model.iterations_used}"
     )
     return artifacts, summary

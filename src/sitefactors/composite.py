@@ -309,9 +309,14 @@ def top_k(region_ids, values, k: int):
     """Best k `(region id, value)` pairs by value, ties broken by region id."""
     if not 1 <= k <= len(region_ids):
         raise KRangeError(f"k must be within [1, {len(region_ids)}], got {k}")
+    negated = -values
+    # the k best and every value tied with the k-th; a NaN sorts last in
+    # both numpy orders, so a NaN cut keeps every region
+    cut = np.partition(negated, k - 1)[k - 1]
+    candidates = np.flatnonzero(~(negated > cut))
     # an object array compares ids as Python strings; numpy's fixed-width
     # strings would drop trailing NULs and tie ids that differ only there
-    ids = np.array(region_ids, dtype=object)
-    order = np.lexsort((ids, -values))[:k]
+    ids = np.array([region_ids[j] for j in candidates], dtype=object)
+    order = candidates[np.lexsort((ids, negated[candidates]))[:k]]
     return [(region_ids[j], float(values[j])) for j in order]
 

@@ -236,14 +236,29 @@ def read_json_object(path: Path, what: str):
         raise SchemaError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _csv_rows(path, text: str):
+def _lines(path: Path):
+    """The lines of the file, whether numpy's C parser may read them, and the
+    SHA-256 of its bytes.
+
+    A text with a `CELL_PATH_MARKS` character is matched line by line with
+    `CSV_LINE`, and the matches keep it alive. Any other text is split by
+    `str.splitlines`, which ends its lines where `csv` does, and goes when
+    this returns.
+    """
+    text, digest = _read(path)
+    if any(mark in text for mark in CELL_PATH_MARKS):
+        return (line.group() for line in CSV_LINE.finditer(text)), False, digest
+    return text.splitlines(), True, digest
+
+
+def _csv_rows(path, lines):
     """(line of the file, row) of every csv row that is not blank or a comment.
 
     A quoted field keeps its line breaks. A field longer than the `csv`
     module's limit of 131072 characters is a ParseError naming its line;
     the process-wide limit is left as it is.
     """
-    reader = csv.reader(line.group() for line in CSV_LINE.finditer(text))
+    reader = csv.reader(lines)
     try:
         for row in reader:
             if row and not row[0].lstrip().startswith("#"):
@@ -252,19 +267,21 @@ def _csv_rows(path, text: str):
         raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
-def _parse_clean(text: str, header_line: int, n: int):
-    """Region ids, N x R matrix and empty provenance, by numpy's C parser.
+def _parse_clean(lines: list[str], header_line: int, n: int):
+    """Region ids, R x N matrix and empty provenance, by numpy's C parser.
 
-    Returns None unless the text holds no `CELL_PATH_MARKS` character (so
-    its lines are `csv`'s) and every row has N+1 fields, a non-empty unique
-    region id and N finite values. The parser reads a subset of what `float`
-    reads (no `3_5`, no Arabic-Indic digits), correctly rounded like it, so
-    an accepted matrix is bit-equal to the per-cell parse.
+    Returns None unless every line after the header that is not blank or a
+    comment has N+1 fields, a non-empty unique region id and N finite
+    values. The lines hold no `CELL_PATH_MARKS` character, so they are
+    `csv`'s and no field is quoted. The parser reads a subset of what
+    `float` reads (no `3_5`, no Arabic-Indic digits), correctly rounded
+    like it, so an accepted matrix is bit-equal to the per-cell parse.
     """
-    if any(mark in text for mark in CELL_PATH_MARKS):
-        return None
-    lines = text.splitlines()[header_line:]
-    body = [line for line in lines if line and not line.lstrip().startswith("#")]
+    body = [
+        line
+        for line in lines[header_line:]
+        if line and not line.lstrip().startswith("#")
+    ]
     if not body or any(line.count(",") != n for line in body):
         return None
     region_ids = [line.partition(",")[0].strip() for line in body]
@@ -283,9 +300,7 @@ def _parse_clean(text: str, header_line: int, n: int):
         return None
     if not np.isfinite(values).all():
         return None
-    # C order as the per-cell path builds it: row means of a transposed
-    # view sum in another order and differ in the last bits
-    return region_ids, np.ascontiguousarray(values.T), []
+    return region_ids, values, []
 
 
 def _provenance(region_id: str, attribute: str, action: str) -> str:
@@ -293,7 +308,7 @@ def _provenance(region_id: str, attribute: str, action: str) -> str:
 
 
 def _parse_cells(path, rows, attribute_names, schema: IngestionConfig):
-    """Region ids, N x R matrix and provenance of (line, csv row) pairs, cell by cell."""
+    """Region ids, R x N matrix and provenance of (line, csv row) pairs, cell by cell."""
     n, policy = len(attribute_names), schema.missing_policy
     region_ids, cells = [], []
     for lineno, row in rows:
@@ -337,7 +352,33 @@ def _parse_cells(path, rows, attribute_names, schema: IngestionConfig):
                 name = attribute_names[i]
                 raise SchemaError(f"{path}: attribute {name!r} has no numeric values")
             column[hole] = float(median(column[~hole]))
-    return region_ids, np.ascontiguousarray(values.T), provenance
+    return region_ids, values, provenance
+
+
+def _parse(path: Path, schema: IngestionConfig):
+    """Attribute names, region ids, R x N matrix, provenance and digest of
+    the file; its text and lines go when this returns."""
+    lines, clean, digest = _lines(path)
+    rows = _csv_rows(path, lines)
+    header_line, header = next(rows, (0, None))
+    if header is None:
+        raise ParseError(f"{path}: no rows found")
+    header = [cell.strip() for cell in header]
+    if header[0] != "region_id":
+        raise SchemaError(f"{path}: first column must be 'region_id', got {header[0]!r}")
+    attribute_names = tuple(header[1:])
+    if not attribute_names:
+        raise ParseError(f"{path}: no attribute columns")
+    if len(set(attribute_names)) != len(attribute_names):
+        raise SchemaError(
+            f"{path}: duplicate attribute columns {_duplicates(attribute_names)}"
+        )
+    # a clean attempt that fails leaves `rows` just past the header
+    parsed = _parse_clean(lines, header_line, len(attribute_names)) if clean else None
+    region_ids, values, provenance = parsed or (
+        _parse_cells(path, rows, attribute_names, schema)
+    )
+    return attribute_names, region_ids, values, provenance, digest
 
 
 def load_table(path, schema: IngestionConfig = IngestionConfig()) -> AttributeTable:
@@ -355,27 +396,8 @@ def load_table(path, schema: IngestionConfig = IngestionConfig()) -> AttributeTa
     missing-value intervention, goes through `csv` and `_parse_cell`.
     """
     path = Path(path)
-    text, digest = _read(path)
-    rows = _csv_rows(path, text)
-    header_line, header = next(rows, (0, None))
-    if header is None:
-        raise ParseError(f"{path}: no rows found")
-    header = [cell.strip() for cell in header]
-    if header[0] != "region_id":
-        raise SchemaError(f"{path}: first column must be 'region_id', got {header[0]!r}")
-    attribute_names = tuple(header[1:])
-    if not attribute_names:
-        raise ParseError(f"{path}: no attribute columns")
-    if len(set(attribute_names)) != len(attribute_names):
-        raise SchemaError(
-            f"{path}: duplicate attribute columns {_duplicates(attribute_names)}"
-        )
-
+    attribute_names, region_ids, values, provenance, digest = _parse(path, schema)
     n = len(attribute_names)
-    region_ids, matrix, provenance = _parse_clean(text, header_line, n) or (
-        _parse_cells(path, rows, attribute_names, schema)
-    )
-
     if len(region_ids) < n + 1:
         raise DegenerateDataError(
             f"{path}: {len(region_ids)} regions remain after ingestion, "
@@ -384,7 +406,10 @@ def load_table(path, schema: IngestionConfig = IngestionConfig()) -> AttributeTa
     return AttributeTable(
         attribute_names=attribute_names,
         region_ids=tuple(region_ids),
-        values=matrix,
+        # C order: row means of a transposed view sum in another order and
+        # differ in the last bits. Copied here, once the text and its lines
+        # are gone, so the copy is never held beside them.
+        values=np.ascontiguousarray(values.T),
         provenance=tuple(provenance),
         digest=digest,
     )

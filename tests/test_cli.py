@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 import expected_small4x6 as frozen
 import oracle
 import sitefactors
-from sitefactors import engine, errors
+from sitefactors import cli, engine, errors
 from sitefactors.cli import main
 from sitefactors.config import DEFAULTS, KEYS, Owned, RunConfig
 
@@ -878,6 +879,30 @@ def test_runs_leave_numpy_ma_and_scipy_out(tmp_path, definition_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("command", ["fit", "score", "sweep"])
+def test_the_fit_holds_the_standardized_copy_alone(
+    command, tmp_path, definition_path, monkeypatch
+):
+    """The raw table is gone before the factors are fit: only its
+    standardized copy stays alive through the fit."""
+    tables, alive, load = [], [], cli.load_table
+
+    def load_table(*args):
+        table = load(*args)
+        tables.append(weakref.ref(table))
+        return table
+
+    def fit_factor_model(*args):
+        alive.extend(ref() is not None for ref in tables)
+        return engine.fit_factor_model(*args)
+
+    monkeypatch.setattr(cli, "load_table", load_table)
+    monkeypatch.setattr(cli, "fit_factor_model", fit_factor_model)
+    argv = [command, "--input", FIXTURE, "--out", str(tmp_path), "--quiet"]
+    assert main([*argv, "--composite.definition", definition_path]) == 0
+    assert alive == [False]
 
 
 class TestProvenance:

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -18,10 +19,12 @@ from sitefactors import (
     IngestionConfig,
     ParseError,
     SchemaError,
+    SynthConfig,
     ZeroVarianceError,
     describe,
     load_table,
     standardize,
+    write_synth_csv,
 )
 from sitefactors.datamodel import median
 
@@ -201,6 +204,22 @@ class TestLoadTable:
         path.write_bytes(BASE_CSV.replace("r1", "r\xe9").encode("latin-1"))
         with pytest.raises(ParseError, match="cannot read"):
             load_table(path)
+
+    def test_parse_holds_the_file_under_three_times(self, tmp_path):
+        # the read holds the bytes beside their text, about twice the file;
+        # the lines, the parsed matrix and its C-ordered copy come after it
+        # and must not pile up on one another
+        path = tmp_path / "synthetic.csv"
+        write_synth_csv(path, SynthConfig(n_regions=4000, n_attributes=25))
+        load_table(path)  # lazy imports and caches, outside the measure
+        tracemalloc.start()
+        try:
+            table = load_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.n_regions == 4000
+        assert peak < 3 * path.stat().st_size
 
 
 class TestDescribe:

@@ -627,13 +627,21 @@ def test_both_parse_paths_read_the_lines_csv_reads(case, ending):
 
 def test_each_edge_cell_and_bad_id_reads_like_the_per_cell_path(tmp_path):
     rows = [("r0", ["1.0", "2.0"]), ("r1", ["2.5", "0.5"]), ("r2", ["4.0", "1.0"])]
+    # an empty id or a row of the wrong width is an error naming its line
+    named = [[(rid, ["3.0", "7.0"])] for rid in ("", " ")]
+    named += [[("r3", cells)] for cells in (["3.0"], ["3.0", "7.0", "1.0"])]
     variants = [[("r3", [cell, "7.0"])] for cell in EDGE_CELLS]
-    variants += [[(rid, ["3.0", "7.0"])] for rid in ("", " ", "r0", " r1 ")]
+    variants += named + [[(rid, ["3.0", "7.0"])] for rid in ("r0", " r1 ")]
     variants += [[("r3", ["3.0", f"7.0{mark}# x"])] for mark in SPLITLINES_ONLY]
-    for extra in variants:
-        lines = ["# generated", "region_id,a,b", *rows, *extra]
-        got, per_cell = load_outcomes(tmp_path / "table.csv", lines)
-        assert got == per_cell, extra
+    for ending in ("\n", "\r\n", "\r"):
+        for extra in variants:
+            # behind a blank and a comment line, so a clean attempt that
+            # falls back must count them as the per-cell path does
+            lines = ["# generated", "region_id,a,b", *rows, "", "  # note", *extra]
+            got, per_cell = load_outcomes(tmp_path / "table.csv", lines, ending=ending)
+            assert got == per_cell, (extra, ending)
+            if extra in named:
+                assert "line 8 has" in got[0][1], (extra, ending)
 
 
 @st.composite
