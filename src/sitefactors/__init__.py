@@ -31,7 +31,6 @@ from .datamodel import (
     AttributeTable,
     DescriptiveStats,
     IngestionConfig,
-    StandardizedMatrix,
     describe,
     load_table,
     standardize,

@@ -88,9 +88,15 @@ def _resolve_config(args) -> RunConfig:
     return RunConfig.resolve(file_values, overrides)
 
 
+def _one_line(message: str) -> str:
+    """The message with CR and LF escaped: a quoted id or a path may hold a
+    line break, and stderr keeps one line per message."""
+    return message.replace("\r", "\\r").replace("\n", "\\n")
+
+
 def _warn(messages) -> None:
     for message in messages:
-        print(f"warning: {message}", file=sys.stderr)
+        print(f"warning: {_one_line(message)}", file=sys.stderr)
 
 
 def _input_path(config: RunConfig) -> Path:
@@ -103,24 +109,19 @@ def _input_path(config: RunConfig) -> Path:
 def _load(config: RunConfig):
     """The input table, and its provenance log if a cell was handled."""
     table = load_table(_input_path(config), config.settings(IngestionConfig))
-    # a quoted id may hold a line break: stderr keeps one line per warning
-    _warn(
-        "missing value handled: " + line.replace("\r", "\\r").replace("\n", "\\n")
-        for line in table.provenance
-    )
+    _warn("missing value handled: " + line for line in table.provenance)
     artifacts = {"provenance.log": (write_provenance, table.provenance)}
     return table, artifacts if table.provenance else {}
 
 
 def _fit(config: RunConfig):
-    """Shared fit stage: table -> standardized matrix -> canonical model."""
+    """Shared fit stage: table -> standardized table -> canonical model."""
     table, artifacts = _load(config)
-    matrix, digest = standardize(table), table.digest
-    del table  # the fit holds the standardized copy alone
-    model = fit_factor_model(matrix, config.settings(EngineConfig))
+    table = standardize(table)  # the fit holds the standardized copy alone
+    model = fit_factor_model(table, config.settings(EngineConfig))
     _warn(model.warnings)
-    artifacts["manifest.json"] = (write_manifest, _manifest(config, digest, model))
-    return matrix, model, artifacts
+    artifacts["manifest.json"] = (write_manifest, _manifest(config, table.digest, model))
+    return table, model, artifacts
 
 
 def _manifest(config: RunConfig, digest: str, model) -> dict:
@@ -142,7 +143,7 @@ def _manifest(config: RunConfig, digest: str, model) -> dict:
 
 def _scored(config: RunConfig):
     """Shared score stage: the fit's factor scores and the bound definition."""
-    matrix, model, artifacts = _fit(config)
+    table, model, artifacts = _fit(config)
     path = config["composite.definition"]
     if path:
         definition = load_definition(path, model.n_factors)
@@ -150,7 +151,7 @@ def _scored(config: RunConfig):
         definition = default_definition(model.n_factors)
     if config["composite.binary"]:
         definition = tuple(replace(a, sign=1) for a in definition)
-    return factor_scores(model.scoring_weights, matrix), definition, artifacts
+    return factor_scores(model.scoring_weights, table), definition, artifacts
 
 
 # Each subcommand only computes: it returns its artifacts, a dict of file
@@ -166,12 +167,12 @@ def cmd_describe(config: RunConfig):
 
 
 def cmd_fit(config: RunConfig):
-    matrix, model, artifacts = _fit(config)
+    table, model, artifacts = _fit(config)
     artifacts["loadings.csv"] = (write_loadings_csv, model)
     artifacts["eigenvalues.csv"] = (write_eigenvalues_csv, model)
     artifacts["weights.csv"] = (write_weights_csv, model)
     summary = (
-        f"N={matrix.n_attributes} R={matrix.n_regions} M={model.n_factors} "
+        f"N={table.n_attributes} R={table.n_regions} M={model.n_factors} "
         f"converged={model.converged} iterations={model.iterations_used}"
     )
     return artifacts, summary
@@ -238,7 +239,7 @@ def main(argv=None) -> int:
             print(summary)
         return 0
     except (SiteFactorsError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {_one_line(str(exc))}", file=sys.stderr)
         return 2 if isinstance(exc, OSError) else exc.exit_code
 
 

@@ -14,7 +14,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,7 @@ NEEDS_QUOTES = (",", '"', "\r", "\n")
 CSV_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 # a quote, and the characters at which `str.splitlines` also ends a line
 CELL_PATH_MARKS = ('"', "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+MISSING = math.nan  # every missing cell of the per-cell parse is this one object
 
 
 def quoted(texts) -> list[str]:
@@ -165,28 +166,6 @@ class DescriptiveStats:
     warnings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class StandardizedMatrix:
-    """Row-wise z-scored attribute matrix (mean 0, sample std 1 per row)."""
-
-    values: np.ndarray
-    attribute_names: tuple[str, ...]
-    region_ids: tuple[str, ...]
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        values.setflags(write=False)
-
-    @property
-    def n_attributes(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_regions(self) -> int:
-        return self.values.shape[1]
-
-
 def read_number(text: str, kind=float):
     """`kind(text)` by the number grammar of a cell and of a setting.
 
@@ -198,13 +177,14 @@ def read_number(text: str, kind=float):
     return kind(text)
 
 
-def _parse_cell(text: str) -> float | None:
-    """A cell read by `read_number` to a finite float, or missing."""
+def _parse_cell(text: str) -> float:
+    """A cell read by `read_number` to a finite float, or `MISSING`, which
+    `in` and `index` find by identity (a NaN equals nothing, not even itself)."""
     try:
         value = read_number(text)
     except ValueError:
-        return None
-    return value if math.isfinite(value) else None
+        return MISSING
+    return value if math.isfinite(value) else MISSING
 
 
 def _read(path: Path) -> tuple[str, str]:
@@ -309,8 +289,10 @@ def _provenance(region_id: str, attribute: str, action: str) -> str:
 
 def _parse_cells(path, rows, attribute_names, schema: IngestionConfig):
     """Region ids, R x N matrix and provenance of (line, csv row) pairs, cell by cell."""
+    from array import array  # here, so a clean file never loads the module
+
     n, policy = len(attribute_names), schema.missing_policy
-    region_ids, cells = [], []
+    region_ids, cells = [], array("d")  # 8 bytes a cell, row by row
     for lineno, row in rows:
         if len(row) != n + 1:
             raise ParseError(
@@ -320,19 +302,19 @@ def _parse_cells(path, rows, attribute_names, schema: IngestionConfig):
         if not rid:
             raise SchemaError(f"{path}: line {lineno} has an empty region_id")
         parsed = [_parse_cell(cell) for cell in row[1:]]
-        if policy == "reject" and None in parsed:
-            i = parsed.index(None)
+        if policy == "reject" and MISSING in parsed:
+            i = parsed.index(MISSING)
             raise SchemaError(
                 f"{path}: non-numeric cell for region {rid!r}, "
                 f"attribute {attribute_names[i]!r}: {row[i + 1]!r}"
             )
         region_ids.append(rid)
-        cells.append(parsed)
+        cells.extend(parsed)
 
     if len(set(region_ids)) != len(region_ids):
         raise SchemaError(f"{path}: duplicate region ids {_duplicates(region_ids)}")
 
-    values = np.array(cells, dtype=float).reshape(len(cells), n)  # None as NaN
+    values = np.frombuffer(cells).reshape(len(region_ids), n)
     missing = np.isnan(values)
     # each missing cell as (region, attribute), in the order its policy meets
     # them: region by region to drop, attribute by attribute to impute
@@ -415,42 +397,52 @@ def load_table(path, schema: IngestionConfig = IngestionConfig()) -> AttributeTa
     )
 
 
+def _spread(values):
+    """Each row's mean, deviations, sum of squared deviations, and whether it
+    is constant (`m2 <= (eps * mean)**2`) or its squares overflow float64
+    (values near 1e154 and above; such a row is also "constant", inf <= inf).
+
+    A mean whose sum passes the float64 range is taken over the values
+    scaled by a power of two at least R, exactly, so it loses no bits.
+    """
+    n = values.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = values.mean(axis=1)
+        lost = np.isinf(mean)
+        if lost.any():
+            scale = 2.0 ** (n - 1).bit_length()
+            mean[lost] = (values[lost] / scale).mean(axis=1) * scale
+        deviations = values - mean[:, None]
+        sum_sq = (deviations**2).sum(axis=1)
+        constant = sum_sq / n <= (np.finfo(float).eps * mean) ** 2
+    return mean, deviations, sum_sq, constant, ~np.isfinite(sum_sq)
+
+
 def describe(table: AttributeTable) -> DescriptiveStats:
     """Per-attribute moments.
 
     Skewness is the adjusted Fisher-Pearson estimator and kurtosis the
     bias-adjusted excess form (Joanes & Gill 1998, G1 and G2), so normal
-    samples trend toward 0 for both. Attributes that are constant to within
-    rounding (`m2 <= (eps * mean)**2`) get NaN for both with a warning; the
-    small-sample floor of 4 observations for kurtosis is handled the same
-    way (a table always has 3 or more regions). Attributes whose squared
-    deviations overflow float64 get NaN std, skewness and kurtosis and a
-    warning of their own.
+    samples trend toward 0 for both. Attributes that `_spread` finds
+    constant get NaN for both with a warning; the small-sample floor of 4
+    observations for kurtosis is handled the same way (a table always has
+    3 or more regions). Attributes whose squared deviations overflow
+    float64 get NaN std, skewness and kurtosis and a warning of their own.
     """
     values = table.values
     n = table.n_regions
+    mean, deviations, sum_sq, constant, overflow = _spread(values)
     kurt_scale = 1.0 / (n - 2) / (n - 3) if n >= 4 else np.nan
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        mean = values.mean(axis=1)
-        # finite values can sum past the float64 range; scaled by a power of
-        # two at least n they cannot, and at these magnitudes the scaling is
-        # exact, so the rescued rows lose no bits
-        lost = np.isinf(mean)
-        if lost.any():
-            scale = 2.0 ** (n - 1).bit_length()
-            mean[lost] = (values[lost] / scale).mean(axis=1) * scale
-        centred = values - mean[:, None]
-        squared = centred**2
-        m2 = squared.mean(axis=1)
-        m3 = (squared * centred).mean(axis=1)
-        m4 = (squared**2).mean(axis=1)
-        constant = m2 <= (np.finfo(float).eps * mean) ** 2
+        m2 = sum_sq / n
+        std = np.sqrt(sum_sq / (n - 1))
+        # in place: the squares, then the cubes over the deviations
+        squared = deviations**2
+        m3 = np.multiply(deviations, squared, out=deviations).mean(axis=1)
+        m4 = np.square(squared, out=squared).mean(axis=1)
+        del deviations, squared
         skew = ((n - 1.0) * n) ** 0.5 / (n - 2.0) * m3 / m2**1.5
         kurt = kurt_scale * ((n**2 - 1.0) * m4 / m2**2.0 - 3 * (n - 1) ** 2.0)
-        std = values.std(axis=1, ddof=1)
-    # values near 1e154 and above square past the float64 range; the
-    # constant test then compares inf with inf and means nothing
-    overflow = ~np.isfinite(m2)
     std[overflow] = np.nan
     skew[constant | overflow] = np.nan
     kurt[constant | overflow] = np.nan
@@ -481,22 +473,21 @@ def describe(table: AttributeTable) -> DescriptiveStats:
     )
 
 
-def standardize(table: AttributeTable) -> StandardizedMatrix:
-    """Z-score each attribute row with the sample standard deviation (R-1)."""
-    values = table.values
-    with np.errstate(over="ignore", invalid="ignore"):
-        std = values.std(axis=1, ddof=1)
-    for name, s in zip(table.attribute_names, std):
-        if s == 0.0:
-            raise ZeroVarianceError(f"attribute {name!r} has zero variance")
-        if not np.isfinite(s):
+def standardize(table: AttributeTable) -> AttributeTable:
+    """The table with each attribute row z-scored by its sample std (R-1).
+
+    The first attribute that overflows (SchemaError) or that `describe`
+    calls constant (ZeroVarianceError) is refused by name.
+    """
+    _, deviations, sum_sq, constant, overflow = _spread(table.values)
+    for name, flat, big in zip(table.attribute_names, constant, overflow):
+        if big:
             raise SchemaError(
                 f"attribute {name!r} is too large to standardize: "
                 "its standard deviation overflows float64"
             )
-    standardized = (values - values.mean(axis=1, keepdims=True)) / std[:, None]
-    return StandardizedMatrix(
-        values=standardized,
-        attribute_names=table.attribute_names,
-        region_ids=table.region_ids,
-    )
+        if flat:
+            raise ZeroVarianceError(f"attribute {name!r} has zero variance")
+    standardized = deviations / np.sqrt(sum_sq / (table.n_regions - 1))[:, None]
+    del deviations  # gone before the checks of the new table run
+    return replace(table, values=standardized)

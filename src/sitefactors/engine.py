@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .datamodel import StandardizedMatrix
+from .datamodel import AttributeTable
 from .errors import (
     DimensionMismatchError,
     NoFactorRetainedError,
@@ -148,8 +148,8 @@ class VarimaxResult:
     converged: bool
 
 
-def correlation(a: StandardizedMatrix) -> CorrelationMatrix:
-    """Correlation of the raw attributes via the standardized matrix."""
+def correlation(a: AttributeTable) -> CorrelationMatrix:
+    """Correlation of the raw attributes via the standardized table."""
     values = a.values
     r = a.n_regions
     corr = (values @ values.T) / (r - 1)
@@ -392,8 +392,8 @@ def scoring_weights(
     return weights, warnings
 
 
-def factor_scores(weights, a: StandardizedMatrix) -> FactorScores:
-    """Per-region factor scores: weights applied to the standardized matrix."""
+def factor_scores(weights, a: AttributeTable) -> FactorScores:
+    """Per-region factor scores: weights applied to the standardized table."""
     weights = np.asarray(weights, dtype=float)
     if weights.shape[1] != a.n_attributes:
         raise DimensionMismatchError(
@@ -442,9 +442,9 @@ def sign_canonicalize(rotated, rotation, weights):
 
 
 def fit_factor_model(
-    a: StandardizedMatrix, config: EngineConfig = EngineConfig()
+    a: AttributeTable, config: EngineConfig = EngineConfig()
 ) -> FactorModel:
-    """Full extraction chain on a standardized matrix.
+    """Full extraction chain on a standardized table.
 
     Runs correlation -> start communalities -> principal-axis iteration ->
     varimax -> scoring weights, then sign-canonicalizes and assigns each

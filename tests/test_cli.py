@@ -746,6 +746,33 @@ class TestErrorContract:
         assert "attribute 'a' is too large to standardize" in err
         assert not (tmp_path / "f").exists()
 
+    def test_rounding_noise_attribute_exits_2(self, tmp_path, capsys):
+        # 0.1 + 0.2 is one ulp above 0.3: describe calls the column constant,
+        # and fit refuses what describe calls constant
+        noise = [0.3] * 51 + [0.1 + 0.2] * 9
+        rows = [f"r{j},{x!r},{j % 3},{j * j % 7}" for j, x in enumerate(noise)]
+        data = tmp_path / "noise.csv"
+        data.write_text("\n".join(["region_id,a,b,c", *rows]) + "\n")
+        code = main(["describe", "--input", str(data), "--out", str(tmp_path / "d")])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "warning: moment: attribute 'a' is constant; skewness/kurtosis undefined\n"
+        )
+        code = main(["fit", "--input", str(data), "--out", str(tmp_path / "f")])
+        err = self.assert_one_error(capsys, code, 2)
+        assert err == "error: ZeroVarianceError: attribute 'a' has zero variance\n"
+        assert not (tmp_path / "f").exists()
+
+    def test_line_break_in_the_input_path_keeps_one_error_line(self, tmp_path, capsys):
+        folder = tmp_path / "d\nx"
+        folder.mkdir()
+        data = folder / "dup.csv"
+        data.write_text("region_id,a,b\nr1,1,2\nr1,2,3\nr2,3,1\nr3,5,4\n")
+        code = main(["fit", "--input", str(data), "--out", str(tmp_path / "out")])
+        err = self.assert_one_error(capsys, code, 2)
+        escaped = str(data).replace("\n", "\\n")
+        assert err == f"error: SchemaError: {escaped}: duplicate region ids ['r1']\n"
+
     @pytest.mark.parametrize("command", ["sweep", "describe"])
     def test_colliding_alpha_labels_exit_2(self, tmp_path, capsys, command):
         # 21 alphas on [0, 2e-6] share 3 labels, so top lists would overwrite

@@ -208,18 +208,25 @@ class TestLoadTable:
     def test_parse_holds_the_file_under_three_times(self, tmp_path):
         # the read holds the bytes beside their text, about twice the file;
         # the lines, the parsed matrix and its C-ordered copy come after it
-        # and must not pile up on one another
+        # and must not pile up on one another. The quoted twin goes through
+        # the per-cell parse, whose lines stay alive beside the cells.
         path = tmp_path / "synthetic.csv"
         write_synth_csv(path, SynthConfig(n_regions=4000, n_attributes=25))
-        load_table(path)  # lazy imports and caches, outside the measure
-        tracemalloc.start()
-        try:
-            table = load_table(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert table.n_regions == 4000
-        assert peak < 3 * path.stat().st_size
+        text = path.read_text(encoding="utf-8")
+        twin = write_csv(
+            tmp_path / "quoted.csv",
+            text.replace("\nregion_0001,", '\n"region_0001",'),
+        )
+        for source in (path, twin):
+            load_table(source)  # lazy imports and caches, outside the measure
+            tracemalloc.start()
+            try:
+                table = load_table(source)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert table.n_regions == 4000
+            assert peak < 3 * source.stat().st_size, source.name
 
 
 class TestDescribe:
@@ -359,6 +366,33 @@ class TestStandardize:
             values=np.array([[2.0, 2.0, 2.0], [4.0, 1.0, 2.0]]),
         )
         with pytest.raises(ZeroVarianceError, match="flat"):
+            standardize(table)
+
+    def test_rounding_noise_row_raises(self):
+        # 0.1 + 0.2 is one ulp above 0.3: describe calls the row constant,
+        # and z-scoring its rounding noise would give {-1.08, 0.0}
+        noise = [0.3] * 51 + [0.1 + 0.2] * 9
+        table = AttributeTable(
+            attribute_names=("noise", "other"),
+            region_ids=tuple(f"r{j}" for j in range(60)),
+            values=np.array([noise, np.arange(60.0)]),
+        )
+        assert describe(table).warnings == (
+            "moment: attribute 'noise' is constant; skewness/kurtosis undefined",
+        )
+        with pytest.raises(ZeroVarianceError, match="'noise'"):
+            standardize(table)
+
+    def test_constant_row_past_the_float64_sum_raises(self):
+        # 8 x 2**1023 sums past float64; the rescued mean is exact, so the
+        # row is constant with std 0, not an overflow
+        table = AttributeTable(
+            attribute_names=("flat", "other"),
+            region_ids=tuple(f"r{j}" for j in range(8)),
+            values=np.array([[2.0**1023] * 8, np.arange(8.0)]),
+        )
+        assert describe(table).std[0] == 0.0
+        with pytest.raises(ZeroVarianceError, match="'flat'"):
             standardize(table)
 
     def test_overflowing_std_raises(self):

@@ -13,7 +13,6 @@ from sitefactors import (
     NoFactorRetainedError,
     SchemaError,
     SingularCorrelationError,
-    StandardizedMatrix,
     SynthConfig,
     correlation,
     dominant_attributes,
@@ -43,7 +42,7 @@ BLOCK_CORR = np.array(
 
 def as_std(values, prefix="r"):
     values = np.asarray(values, dtype=float)
-    return StandardizedMatrix(
+    return AttributeTable(
         values=values,
         attribute_names=tuple(f"a{i}" for i in range(values.shape[0])),
         region_ids=tuple(f"{prefix}{j}" for j in range(values.shape[1])),

@@ -29,6 +29,7 @@ from sitefactors import (
     SiteFactorsError,
     SynthConfig,
     TypologyConfig,
+    ZeroVarianceError,
     composite_scores,
     correlation,
     describe,
@@ -424,6 +425,53 @@ def test_describe_moments_match_scipy(values):
     # scipy adds 3 to the excess kurtosis and takes it off again, which
     # rounds away up to an ulp of 3 (4.4e-16) from a value near zero
     assert_allclose(stats.kurtosis, kurt, rtol=1e-12, atol=1e-15)
+
+
+# Values a row can repeat to within rounding of its mean, or exactly.
+near_constant = st.sampled_from([0.3, 0.1 + 0.2, 1e8, float(np.nextafter(1e8, 0)), 5.0])
+
+
+@SETTINGS
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(2, 4), st.integers(5, 40)),
+        elements=st.floats(-1e100, 1e100, allow_nan=False) | near_constant,
+    )
+)
+@example(np.array([[0.3] * 51 + [0.1 + 0.2] * 9, np.arange(60.0)]))
+@example(np.array([[2.0] * 6, [-1e100, 0.0, 1e100, 3.0, 4.0, 5.0]]))
+def test_describe_and_standardize_share_the_moments(values):
+    """`describe` calls constant exactly the attributes `standardize`
+    refuses, and the std and z-scores of the rest are numpy's to the bit."""
+    n, r = values.shape
+    names = tuple(f"a{i}" for i in range(n))
+    ids = tuple(f"r{j}" for j in range(r))
+    stats = describe(AttributeTable(names, ids, values))
+    flat = np.array([
+        f"moment: attribute {name!r} is constant; skewness/kurtosis undefined"
+        in stats.warnings
+        for name in names
+    ])
+    # each row beside one that is never constant, so a refusal names that row
+    reference = np.arange(float(r))
+    for name, row, refused in zip(names, values, flat):
+        pair = AttributeTable((name, "reference"), ids, np.array([row, reference]))
+        if refused:
+            with pytest.raises(ZeroVarianceError, match=repr(name)):
+                standardize(pair)
+        else:
+            standardize(pair)
+
+    def bits(a):
+        return a.view(np.uint64).tobytes()
+
+    kept = values[~flat]
+    assert bits(stats.std[~flat]) == bits(kept.std(axis=1, ddof=1))
+    if len(kept) >= 2:
+        z = standardize(AttributeTable(names[: len(kept)], ids, kept)).values
+        expected = (kept - kept.mean(1, keepdims=True)) / kept.std(1, ddof=1)[:, None]
+        assert bits(z) == bits(expected)
 
 
 @SETTINGS
