@@ -54,38 +54,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "describe": "write per-attribute descriptive statistics",
-        "fit": "extract, rotate and weight the latent factors",
-        "score": "write per-region composite scores at a given alpha",
-        "sweep": "run the (alpha, theta) sensitivity sweep",
-        "synth": "generate a synthetic dataset with a planted structure",
-    }
-    for name, help_text in commands.items():
+    for name, (_, help_text) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="JSON config file of dotted keys")
         cmd.add_argument("--input", help="input CSV path")
         cmd.add_argument("--out", help="output directory")
         cmd.add_argument("--quiet", action="store_true", default=None)
+        # short spellings write their key, so the later of two spellings wins
         if name == "score":
-            cmd.add_argument("--alpha", help="suitability weight in [0, 1]")
+            cmd.add_argument(
+                "--alpha", dest="score.alpha", metavar="ALPHA",
+                help="suitability weight in [0, 1]",
+            )
         if name == "synth":
-            cmd.add_argument("--seed", help="generator seed")
+            cmd.add_argument("--seed", dest="synth.seed", metavar="SEED", help="generator seed")
         for key in KEYS:
             if key not in LOCATIONS:
                 cmd.add_argument(f"--{key}", dest=key, help=argparse.SUPPRESS)
     return parser
-
-
-def _resolve_config(args) -> RunConfig:
-    file_values = load_config_file(args.config) if args.config else {}
-    # a flag not given is None, which `resolve` skips
-    overrides = {key: getattr(args, key, None) for key in KEYS}
-    if getattr(args, "alpha", None) is not None:
-        overrides["score.alpha"] = args.alpha
-    if getattr(args, "seed", None) is not None:
-        overrides["synth.seed"] = args.seed
-    return RunConfig.resolve(file_values, overrides)
 
 
 def _one_line(message: str) -> str:
@@ -99,16 +85,12 @@ def _warn(messages) -> None:
         print(f"warning: {_one_line(message)}", file=sys.stderr)
 
 
-def _input_path(config: RunConfig) -> Path:
+def _load(config: RunConfig):
+    """The input table, and its provenance log if a cell was handled."""
     path = config["input"]
     if not path:
         raise ParseError("no input file given (set --input or the 'input' key)")
-    return Path(path)
-
-
-def _load(config: RunConfig):
-    """The input table, and its provenance log if a cell was handled."""
-    table = load_table(_input_path(config), config.settings(IngestionConfig))
+    table = load_table(path, config.settings(IngestionConfig))
     _warn("missing value handled: " + line for line in table.provenance)
     artifacts = {"provenance.log": (write_provenance, table.provenance)}
     return table, artifacts if table.provenance else {}
@@ -217,19 +199,21 @@ def cmd_synth(config: RunConfig):
 
 
 COMMANDS = {
-    "describe": cmd_describe,
-    "fit": cmd_fit,
-    "score": cmd_score,
-    "sweep": cmd_sweep,
-    "synth": cmd_synth,
+    "describe": (cmd_describe, "write per-attribute descriptive statistics"),
+    "fit": (cmd_fit, "extract, rotate and weight the latent factors"),
+    "score": (cmd_score, "write per-region composite scores at a given alpha"),
+    "sweep": (cmd_sweep, "run the (alpha, theta) sensitivity sweep"),
+    "synth": (cmd_synth, "generate a synthetic dataset with a planted structure"),
 }
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _resolve_config(args)
-        artifacts, summary = COMMANDS[args.command](config)
+        file_values = load_config_file(args.config) if args.config else {}
+        # a flag not given is None, which `resolve` skips
+        config = RunConfig.resolve(file_values, {key: getattr(args, key) for key in KEYS})
+        artifacts, summary = COMMANDS[args.command][0](config)
         # nothing is written, not even the output directory, unless the
         # whole computation succeeded
         out = Path(config["out"])

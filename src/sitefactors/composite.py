@@ -131,9 +131,10 @@ class TypologyConfig:
     bias_band: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= self.balance_band <= self.bias_band:
+        # the manifest records every setting, and JSON has no infinity
+        if not 0.0 <= self.balance_band <= self.bias_band < np.inf:
             raise SchemaError(
-                "typology bands need 0 <= balance_band <= bias_band, got "
+                "typology bands need 0 <= balance_band <= bias_band < inf, got "
                 f"{self.balance_band} and {self.bias_band}"
             )
 

@@ -119,11 +119,11 @@ class RunConfig:
 
     @classmethod
     def resolve(cls, file_values: dict | None = None, overrides: dict | None = None):
+        # every key is one of KEYS: `load_config_file` refuses any other, and
+        # each flag is built from KEYS
         merged = dict(DEFAULTS)
         for source in (file_values or {}, overrides or {}):
             for key, value in source.items():
-                if key not in KEYS:
-                    raise SchemaError(f"unknown config key {key!r}")
                 if value is None:
                     continue
                 # a JSON value is read as the flag text it stands for, so

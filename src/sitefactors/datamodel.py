@@ -351,6 +351,9 @@ def _parse(path: Path, schema: IngestionConfig):
     attribute_names = tuple(header[1:])
     if not attribute_names:
         raise ParseError(f"{path}: no attribute columns")
+    if "" in attribute_names:
+        column = attribute_names.index("") + 2
+        raise SchemaError(f"{path}: line {header_line}: column {column} has no attribute name")
     if len(set(attribute_names)) != len(attribute_names):
         raise SchemaError(
             f"{path}: duplicate attribute columns {_duplicates(attribute_names)}"
@@ -366,11 +369,12 @@ def _parse(path: Path, schema: IngestionConfig):
 def load_table(path, schema: IngestionConfig = IngestionConfig()) -> AttributeTable:
     """Read and validate a region-by-attribute CSV.
 
-    Leading lines starting with `#` are treated as comments (the synthetic
-    data generator documents its planted structure this way). The first data
-    row must be the header `region_id,<attr>,...`. A leading UTF-8 byte-order
-    mark, as spreadsheet exports write, is skipped. Errors name the line of
-    the file. The table carries the SHA-256 of the file's bytes.
+    A line whose first field starts with `#` is a comment anywhere in the
+    file (the synthetic data generator documents its planted structure this
+    way). The first data row must be the header `region_id,<attr>,...`, and
+    no attribute name may be empty. A leading UTF-8 byte-order mark, as
+    spreadsheet exports write, is skipped. Errors name the line of the file.
+    The table carries the SHA-256 of the file's bytes.
 
     Lines end at CR, LF or CRLF, as `csv` ends them. A file without a
     `CELL_PATH_MARKS` character whose every body cell parses is read by

@@ -39,8 +39,9 @@ class EngineConfig:
     varimax_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise SchemaError("epsilon must be positive")
+        # the manifest records every setting, and JSON has no infinity
+        if not 0 < self.epsilon < np.inf:
+            raise SchemaError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_iterations < 1:
             raise SchemaError("max_iterations must be at least 1")
         # at or below 0 the rule keeps factors of non-positive eigenvalue,
@@ -50,9 +51,10 @@ class EngineConfig:
                 f"kaiser_threshold must be positive, got {self.kaiser_threshold}"
             )
         # under NaN or a negative tolerance the sweeps never stop before the cap
-        if not self.varimax_tolerance >= 0:
+        if not 0 <= self.varimax_tolerance < np.inf:
             raise SchemaError(
-                f"varimax_tolerance must be 0 or more, got {self.varimax_tolerance}"
+                "varimax_tolerance must be 0 or more and finite, got "
+                f"{self.varimax_tolerance}"
             )
 
 
@@ -306,9 +308,9 @@ def varimax(
     Rows are scaled to unit length (zero rows are left alone), all column
     pairs are rotated by their criterion-maximizing angle in the cyclic
     order, a wave of disjoint pairs at a time, and sweeping stops once a
-    full sweep improves the criterion by less than `tolerance`. The rotation
-    matrix is accumulated so the returned loadings are exactly
-    `loadings @ rotation`.
+    full sweep improves the criterion by less than `tolerance`, or not at
+    all. The rotation matrix is accumulated so the returned loadings are
+    exactly `loadings @ rotation`.
     """
     loadings = np.asarray(loadings, dtype=float)
     n, m = loadings.shape
@@ -362,7 +364,9 @@ def varimax(
             planes = np.stack((cos, sin, -sin, cos), 1).reshape(-1, 2, 2)
             state[pairs] = planes @ block
         history.append(varimax_criterion(working.T.copy()))
-        if history[-1] - history[-2] < tolerance:
+        # at tolerance 0 a sweep that no longer raises the criterion ends it
+        change = history[-1] - history[-2]
+        if change < tolerance or change <= 0.0:
             converged = True
             break
     rotation = turned.T.copy()

@@ -2,9 +2,11 @@ import ast
 import collections
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -167,6 +169,21 @@ class TestFit:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["converged"] is False
         assert any("non_convergence" in w for w in manifest["warnings"])
+
+    def test_zero_varimax_tolerance_stops_when_the_criterion_stops_rising(
+        self, tmp_path, capsys
+    ):
+        # from some sweep on, rounding holds the criterion exactly still; a
+        # sweep that does not raise it ends the rotation, not the sweep cap
+        assert main(["synth", "--out", str(tmp_path), "--quiet"]) == 0
+        out = tmp_path / "out"
+        code = main([
+            "fit", "--input", str(tmp_path / "synthetic.csv"), "--out", str(out),
+            "--quiet", "--engine.varimax_tolerance", "0",
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((out / "manifest.json").read_text())["warnings"] == []
 
 
 class TestScore:
@@ -502,6 +519,59 @@ MANIFEST_KEYS = [
 ]
 
 
+class TestOneFlagPerKey:
+    """`score --alpha` and `synth --seed` are spellings of `score.alpha` and
+    `synth.seed`: each writes its key, and the later of two spellings wins."""
+
+    def run_score(self, tmp_path, definition_path, name, *flags):
+        out = tmp_path / name
+        argv = ["score", "--input", FIXTURE, "--out", str(out), "--quiet"]
+        assert main([*argv, "--composite.definition", definition_path, *flags]) == 0
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    def test_alpha_spellings_give_the_same_bytes(self, tmp_path, definition_path):
+        short = self.run_score(tmp_path, definition_path, "short", "--alpha", "0.3")
+        long = self.run_score(tmp_path, definition_path, "long", "--score.alpha", "0.3")
+        assert short == long
+        default = self.run_score(tmp_path, definition_path, "default")
+        assert short["scores.csv"] != default["scores.csv"]
+
+    def test_seed_spellings_give_the_same_bytes(self, tmp_path):
+        argv = ["synth", "--quiet", "--synth.regions", "40", "--synth.attributes", "6"]
+        short, long = tmp_path / "short", tmp_path / "long"
+        assert main([*argv, "--out", str(short), "--seed", "7"]) == 0
+        assert main([*argv, "--out", str(long), "--synth.seed", "7"]) == 0
+        assert main([*argv, "--out", str(tmp_path / "default")]) == 0
+        data = (short / "synthetic.csv").read_bytes()
+        assert data == (long / "synthetic.csv").read_bytes()
+        assert data != (tmp_path / "default" / "synthetic.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags, alpha",
+        [
+            (["--alpha", "0.2", "--score.alpha", "0.7"], "0.7"),
+            (["--score.alpha", "0.7", "--alpha", "0.2"], "0.2"),
+        ],
+    )
+    def test_the_later_spelling_wins(self, tmp_path, definition_path, flags, alpha):
+        both = self.run_score(tmp_path, definition_path, "both", *flags)
+        one = self.run_score(tmp_path, definition_path, "one", "--score.alpha", alpha)
+        assert both == one
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_every_subcommand_has_help(self, command, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main([command, "--help"])
+        assert caught.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: sitefactors {command} ")
+
+    def test_short_spellings_keep_their_help(self, capsys):
+        for command, usage in (("score", "[--alpha ALPHA]"), ("synth", "[--seed SEED]")):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert usage in capsys.readouterr().out
+
+
 class TestKeyTable:
     def test_manifest_lists_exactly_the_settings(self, tmp_path):
         # every key is recorded but input, out and quiet
@@ -663,6 +733,26 @@ class TestErrorContract:
         err = self.assert_one_error(capsys, code, 2)
         assert key.partition(".")[2] in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key", ["engine.epsilon", "engine.varimax_tolerance", "composite.bias_band"]
+    )
+    def test_infinite_setting_exits_2_and_manifests_stay_json(self, tmp_path, capsys, key):
+        # the manifest records every setting, and JSON has no Infinity token
+        out = tmp_path / "out"
+        code = main(["fit", "--input", FIXTURE, "--out", str(out), f"--{key}", "inf"])
+        assert key.partition(".")[2] in self.assert_one_error(capsys, code, 2)
+        assert not out.exists()
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        argv = ["fit", "--input", FIXTURE, "--out", str(out), "--quiet"]
+        assert main([*argv, f"--{key}", "1e308"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
+        assert manifest["config"][key] == 1e308
+        assert main(argv) == 0
+        json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
 
     @pytest.mark.parametrize("value", ["nan", "-1"])
     def test_bad_varimax_tolerance_exits_2(self, tmp_path, capsys, value):
@@ -906,6 +996,43 @@ def test_runs_leave_numpy_ma_and_scipy_out(tmp_path, definition_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
+
+
+# OpenBLAS picks its kernels by CPU and its thread count at run time; the
+# artifacts must not depend on either
+BLAS_VARIANTS = [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}]
+if platform.machine().lower() in ("x86_64", "amd64"):
+    BLAS_VARIANTS.append({"OPENBLAS_CORETYPE": "Prescott"})
+
+
+def test_artifacts_do_not_depend_on_the_blas_build(tmp_path):
+    assert main(["synth", "--out", str(tmp_path), "--quiet", "--seed", "7"]) == 0
+    package_root = str(Path(sitefactors.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+    script = (
+        "import sys\n"
+        "from sitefactors.cli import main\n"
+        "data, out = sys.argv[1:]\n"
+        "codes = [main([command, '--input', data, '--out', out, '--quiet'])\n"
+        "         for command in ('fit', 'score', 'sweep')]\n"
+        "sys.exit(f'exit codes {codes}' if any(codes) else 0)\n"
+    )
+    digests = []
+    for i, variant in enumerate(BLAS_VARIANTS):
+        out = tmp_path / f"variant_{i}"
+        env = dict(base, PYTHONPATH=package_root, **variant)
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "synthetic.csv"), str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, (variant, result.stderr)
+        digests.append({
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())
+        })
+    assert "sweep_long.csv" in digests[0]
+    for variant, found in zip(BLAS_VARIANTS[1:], digests[1:]):
+        assert found == digests[0], variant
 
 
 @pytest.mark.parametrize("command", ["fit", "score", "sweep"])

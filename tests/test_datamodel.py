@@ -128,6 +128,29 @@ class TestLoadTable:
             load_table(path)
         assert csv.field_size_limit() == limit
 
+    @pytest.mark.parametrize(
+        "header, column",
+        [
+            # the clean path: no quote anywhere, every row as wide as the header
+            ("region_id,a,b,", 4),
+            # the quoted path
+            ('region_id,a,"",c', 3),
+        ],
+    )
+    def test_empty_attribute_name(self, tmp_path, header, column):
+        text = header + "\n" + BASE_CSV.partition("\n")[2]
+        path = write_csv(tmp_path / "names.csv", "# note\n" + text)
+        with pytest.raises(SchemaError) as caught:
+            load_table(path)
+        assert str(caught.value) == f"{path}: line 2: column {column} has no attribute name"
+
+    @pytest.mark.parametrize("region_id", ["#r5", '"#r5"'])
+    def test_comment_rows_anywhere_are_skipped(self, tmp_path, region_id):
+        # a row whose first field starts with # is a comment in the body too
+        path = write_csv(tmp_path / "body.csv", BASE_CSV.replace("r5,", region_id + ","))
+        table = load_table(path)
+        assert table.region_ids == ("r1", "r2", "r3", "r4")
+
     def test_wrong_leading_header(self, tmp_path):
         path = write_csv(tmp_path / "head.csv", "id,a,b\nr1,1,2\n")
         with pytest.raises(SchemaError, match="region_id"):

@@ -416,8 +416,10 @@ class TestFitFactorModel:
             ("kaiser_threshold", float("nan")),
             ("varimax_tolerance", float("nan")),
             ("varimax_tolerance", -1.0),
+            ("varimax_tolerance", float("inf")),
             ("epsilon", 0.0),
             ("epsilon", float("nan")),
+            ("epsilon", float("inf")),
             ("max_iterations", 0),
         ],
     )
