@@ -36,12 +36,12 @@ from .datamodel import (
     standardize,
 )
 from .engine import (
-    CorrelationMatrix,
     EngineConfig,
     FactorModel,
     FactorScores,
     VarimaxResult,
     correlation,
+    correlation_inverse,
     dominant_attributes,
     factor_scores,
     fit_factor_model,

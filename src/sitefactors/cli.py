@@ -9,6 +9,7 @@ a warning.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -45,6 +46,7 @@ from .synth import SynthConfig, write_synth_csv
 # environment locations, not computation parameters: visible flags, and
 # left out of the manifest
 LOCATIONS = ("input", "out", "quiet")
+VALUELESS = ("--quiet", "--help", "--version")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -207,8 +209,24 @@ COMMANDS = {
 }
 
 
+def _negative_values(argv):
+    """`--key -1,0` as `--key=-1,0`: argparse takes a token that starts with
+    `-` for a flag unless it reads as one plain number, so a value such as
+    `-1,0,1` or `-8e-1` is joined to the flag before it."""
+    joined = [""]
+    for token in argv:
+        flag = joined[-1]
+        valued = re.fullmatch(r"--[\w.]+", flag) and flag not in VALUELESS
+        if valued and re.match(r"-[\d.]", token):
+            joined[-1] = f"{flag}={token}"
+        else:
+            joined.append(token)
+    return joined[1:]
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_negative_values(argv))
     try:
         file_values = load_config_file(args.config) if args.config else {}
         # a flag not given is None, which `resolve` skips
@@ -222,9 +240,11 @@ def main(argv=None) -> int:
         if not config["quiet"]:
             print(summary)
         return 0
-    except (SiteFactorsError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {_one_line(str(exc))}", file=sys.stderr)
-        return 2 if isinstance(exc, OSError) else exc.exit_code
+    except (SiteFactorsError, OSError, MemoryError) as exc:
+        # numpy's failed allocation is a private MemoryError subclass
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"error: {name}: {_one_line(str(exc))}", file=sys.stderr)
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

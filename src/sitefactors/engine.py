@@ -1,16 +1,15 @@
 """Latent-factor extraction engine.
 
-Pipeline: correlation matrix -> squared-multiple-correlation start values ->
-iterated principal-axis factoring with Kaiser retention -> varimax rotation
--> regression scoring weights. Every stage is a pure function; the
-convenience wrapper :func:`fit_factor_model` chains them and returns a fully
+Pipeline: correlation matrix R and its one inverse -> squared-multiple-
+correlation start values -> iterated principal-axis factoring with Kaiser
+retention, in R's own buffer -> varimax rotation -> regression scoring
+weights. :func:`fit_factor_model` chains the stages and returns a fully
 populated, sign-canonicalized model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -56,25 +55,6 @@ class EngineConfig:
                 "varimax_tolerance must be 0 or more and finite, got "
                 f"{self.varimax_tolerance}"
             )
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        values.setflags(write=False)
-
-    @cached_property
-    def condition_number(self) -> float:
-        """2-norm condition number, taken once and shared by every stage.
-
-        Only the number is kept: a cached inverse would stay alive through
-        the principal-axis loop and raise the peak memory of a wide fit.
-        """
-        return np.linalg.cond(self.values)
 
 
 @dataclass(frozen=True)
@@ -150,100 +130,103 @@ class VarimaxResult:
     converged: bool
 
 
-def correlation(a: AttributeTable) -> CorrelationMatrix:
-    """Correlation of the raw attributes via the standardized table."""
+def correlation(a: AttributeTable) -> np.ndarray:
+    """Correlation of the raw attributes via the standardized table: N x N, C order."""
     values = a.values
     r = a.n_regions
     corr = (values @ values.T) / (r - 1)
     corr = (corr + corr.T) / 2.0
     np.fill_diagonal(corr, 1.0)
-    return CorrelationMatrix(values=corr)
+    return corr
 
 
-def _inverse(corr: CorrelationMatrix, config: EngineConfig, stage: str) -> np.ndarray:
+def correlation_inverse(corr: np.ndarray, config: EngineConfig = EngineConfig()):
     """Inverse of the correlation matrix with the optional ridge fallback.
 
-    Returns (inverse, warnings). The ridge path is flag-controlled because a
-    silent regularization would change results unannounced.
+    Returns (inverse, warnings). The ridge path is flag-controlled and
+    warns because a silent regularization would change results unannounced.
     """
-    matrix = corr.values
-    cond = corr.condition_number
+    cond = np.linalg.cond(corr)
     if cond <= CONDITION_LIMIT:
-        return np.linalg.inv(matrix), ()
+        return np.linalg.inv(corr), ()
     if not config.ridge_fallback:
         raise SingularCorrelationError(
             f"correlation matrix condition number {cond:.3e} exceeds "
-            f"{CONDITION_LIMIT:.1e} during {stage}; enable ridge_fallback "
-            "to proceed"
+            f"{CONDITION_LIMIT:.1e}; enable ridge_fallback to proceed"
         )
-    ridged = matrix + RIDGE_DELTA * np.eye(matrix.shape[0])
     warning = (
         f"ridge: added {RIDGE_DELTA:.1e} to the correlation diagonal "
-        f"during {stage} (condition number {cond:.3e})"
+        f"(condition number {cond:.3e})"
     )
-    return np.linalg.inv(ridged), (warning,)
+    return np.linalg.inv(corr + RIDGE_DELTA * np.eye(corr.shape[0])), (warning,)
 
 
-def initial_communalities(
-    corr: CorrelationMatrix, config: EngineConfig = EngineConfig()
-):
+def initial_communalities(inverse: np.ndarray):
     """Squared multiple correlations: 1 - 1/diag(inverse correlation).
 
     Returns (values, warnings), the values clamped into [0, 1].
     """
-    inverse, warnings = _inverse(corr, config, "initial communalities")
     values = 1.0 - 1.0 / np.diag(inverse)
     clamped = np.clip(values, 0.0, 1.0)
+    warnings = ()
     if np.any(clamped != values):
-        warnings += ("heywood: initial communalities clamped into [0, 1]",)
+        warnings = ("heywood: initial communalities clamped into [0, 1]",)
     return clamped, warnings
 
 
 def paf_iterate(
-    corr: CorrelationMatrix, config: EngineConfig = EngineConfig()
+    corr: np.ndarray, inverse: np.ndarray, config: EngineConfig = EngineConfig()
 ) -> FactorModel:
     """Iterated principal-axis extraction from squared-multiple-correlation starts.
 
-    Each pass replaces the correlation diagonal with the current communality
-    estimates, eigendecomposes, rebuilds loadings from the retained
-    eigenpairs (square roots taken only for positive eigenvalues) and updates
-    the communalities as row sums of squared loadings. The retained factor
-    count is fixed by the Kaiser rule on the first pass and the loop stops
-    when the total absolute communality change drops below epsilon.
+    The starts come from `inverse`, the inverse of `corr`. Each pass writes
+    the current communality estimates onto the diagonal of `corr` itself
+    (borrowed, not copied, and given back bit-identical on return or raise),
+    eigendecomposes, rebuilds loadings from the retained eigenpairs (square
+    roots taken only for positive eigenvalues) and updates the communalities
+    as row sums of squared loadings. The retained factor count is fixed by
+    the Kaiser rule on the first pass and the loop stops when the total
+    absolute communality change drops below epsilon.
     """
-    comm, start_warnings = initial_communalities(corr, config)
-    adjusted = corr.values.copy()
+    # an integer buffer would truncate each diagonal written into it
+    if corr.dtype != np.float64 or not corr.flags.writeable:
+        raise TypeError("paf_iterate writes into corr: pass a writeable float64 array")
+    comm, start_warnings = initial_communalities(inverse)
+    diagonal = np.diag(corr).copy()
     trajectory: list[np.ndarray] = []
     heywood_hits: list[int] = []
     worst_heywood = 1.0
 
-    for iteration in range(1, config.max_iterations + 1):
-        np.fill_diagonal(adjusted, comm)
-        values, vectors = np.linalg.eigh(adjusted)
-        values, vectors = values[::-1], vectors[:, ::-1]
-        if iteration == 1:
-            n_factors = int(np.sum(values >= config.kaiser_threshold))
-            if n_factors == 0:
-                raise NoFactorRetainedError(
-                    "no eigenvalue reached the retention threshold "
-                    f"{config.kaiser_threshold:g} (largest was {values[0]:.6g})"
-                )
-            selection_eigenvalues = values[:n_factors].copy()
-        retained = values[:n_factors]
-        loadings = vectors[:, :n_factors] * np.sqrt(np.maximum(retained, 0.0))
-        # freed now, the N x N matrix is not alive beside the next pass's eigh
-        del vectors
-        updated = np.sum(loadings**2, axis=1)
-        if np.any(updated > 1.0):
-            heywood_hits.append(iteration)
-            worst_heywood = max(worst_heywood, float(updated.max()))
-            updated = np.clip(updated, 0.0, 1.0)
-        delta = float(np.sum(np.abs(updated - comm)))
-        updated.setflags(write=False)
-        trajectory.append(updated)
-        comm = updated
-        if delta < config.epsilon:
-            break
+    try:
+        for iteration in range(1, config.max_iterations + 1):
+            np.fill_diagonal(corr, comm)
+            values, vectors = np.linalg.eigh(corr)
+            values, vectors = values[::-1], vectors[:, ::-1]
+            if iteration == 1:
+                n_factors = int(np.sum(values >= config.kaiser_threshold))
+                if n_factors == 0:
+                    raise NoFactorRetainedError(
+                        "no eigenvalue reached the retention threshold "
+                        f"{config.kaiser_threshold:g} (largest was {values[0]:.6g})"
+                    )
+                selection_eigenvalues = values[:n_factors].copy()
+            retained = values[:n_factors]
+            loadings = vectors[:, :n_factors] * np.sqrt(np.maximum(retained, 0.0))
+            # freed now, the N x N matrix is not alive beside the next pass's eigh
+            del vectors
+            updated = np.sum(loadings**2, axis=1)
+            if np.any(updated > 1.0):
+                heywood_hits.append(iteration)
+                worst_heywood = max(worst_heywood, float(updated.max()))
+                updated = np.clip(updated, 0.0, 1.0)
+            delta = float(np.sum(np.abs(updated - comm)))
+            updated.setflags(write=False)
+            trajectory.append(updated)
+            comm = updated
+            if delta < config.epsilon:
+                break
+    finally:
+        np.fill_diagonal(corr, diagonal)
 
     converged = delta < config.epsilon
     warnings = list(start_warnings)
@@ -379,21 +362,12 @@ def varimax(
     )
 
 
-def scoring_weights(
-    corr: CorrelationMatrix,
-    rotated_loadings,
-    config: EngineConfig = EngineConfig(),
-):
-    """Regression-method scoring weights (loadings' generalized left inverse).
-
-    Returns (weights, warnings); warnings carry the ridge note when the
-    fallback engaged.
-    """
+def scoring_weights(inverse: np.ndarray, rotated_loadings) -> np.ndarray:
+    """Regression-method scoring weights (L' R^-1 L)^-1 L' R^-1, a left
+    inverse of the loadings L, from the inverse correlation R^-1."""
     loadings = np.asarray(rotated_loadings, dtype=float)
-    inverse, warnings = _inverse(corr, config, "scoring weights")
     projected = loadings.T @ inverse
-    weights = np.linalg.solve(projected @ loadings, projected)
-    return weights, warnings
+    return np.linalg.solve(projected @ loadings, projected)
 
 
 def factor_scores(weights, a: AttributeTable) -> FactorScores:
@@ -450,13 +424,15 @@ def fit_factor_model(
 ) -> FactorModel:
     """Full extraction chain on a standardized table.
 
-    Runs correlation -> start communalities -> principal-axis iteration ->
-    varimax -> scoring weights, then sign-canonicalizes and assigns each
-    attribute its dominant factor. The returned model carries the attribute
-    names and all accumulated warnings, the tie warnings last.
+    Runs correlation -> its inverse -> start communalities -> principal-axis
+    iteration -> varimax -> scoring weights, then sign-canonicalizes and
+    assigns each attribute its dominant factor. The returned model carries
+    the attribute names and all accumulated warnings, the ridge note first
+    and the tie warnings last.
     """
     corr = correlation(a)
-    model = paf_iterate(corr, config)
+    inverse, ridge_warnings = correlation_inverse(corr, config)
+    model = paf_iterate(corr, inverse, config)
     # the cap is read at call time, so it can be lowered module-wide
     rotated = varimax(
         model.unrotated_loadings,
@@ -470,7 +446,7 @@ def fit_factor_model(
             f"non_convergence: varimax sweep cap {VARIMAX_MAX_SWEEPS} "
             f"reached (last criterion change {history[-1] - history[-2]:.3e})",
         )
-    weights, ridge_warnings = scoring_weights(corr, rotated.loadings, config)
+    weights = scoring_weights(inverse, rotated.loadings)
     loadings, rotation, weights = sign_canonicalize(
         rotated.loadings, rotated.rotation, weights
     )
@@ -482,5 +458,5 @@ def fit_factor_model(
         rotation=rotation,
         scoring_weights=weights,
         dominant_factor=dominant,
-        warnings=model.warnings + rotation_warnings + ridge_warnings + tie_warnings,
+        warnings=ridge_warnings + model.warnings + rotation_warnings + tie_warnings,
     )

@@ -118,10 +118,17 @@ def generate(config: SynthConfig = SynthConfig()) -> tuple[AttributeTable, np.nd
     noise -= noise.mean(axis=1, keepdims=True)
     noise -= (noise @ basis) @ basis.T
     noise /= noise.std(axis=1, ddof=1, keepdims=True)
-    values = loadings @ factors + config.noise_std * noise
-    scales = rng.uniform(1.0, 100.0, size=config.n_attributes)
-    offsets = scales * rng.uniform(8.0, 12.0, size=config.n_attributes)
-    values = values * scales[:, None] + offsets[:, None]
+    # a finite loading or noise level can still overflow; that is one error
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = loadings @ factors + config.noise_std * noise
+        scales = rng.uniform(1.0, 100.0, size=config.n_attributes)
+        offsets = scales * rng.uniform(8.0, 12.0, size=config.n_attributes)
+        values = values * scales[:, None] + offsets[:, None]
+    if not np.all(np.isfinite(values)):
+        raise SchemaError(
+            f"synth.loading {config.loading:g} and synth.noise_std "
+            f"{config.noise_std:g} put generated values past the float64 range"
+        )
     table = AttributeTable(
         attribute_names=_attribute_names(config.n_attributes),
         region_ids=tuple(f"region_{j + 1:04d}" for j in range(config.n_regions)),

@@ -23,6 +23,7 @@ from sitefactors import (
     SynthConfig,
     composite_scores,
     correlation,
+    correlation_inverse,
     factor_scores,
     fit_factor_model,
     initial_communalities,
@@ -103,14 +104,15 @@ def test_criterion_3_oracle_equivalence():
 
         corr = correlation(matrix)
         assert_allclose(
-            corr.values, oracle.correlation_from_standardized(matrix.values), atol=1e-8
+            corr, oracle.correlation_from_standardized(matrix.values), atol=1e-8
         )
 
-        start, _ = initial_communalities(corr)
-        assert_allclose(start, oracle.smc(corr.values), atol=1e-8)
+        inverse, _ = correlation_inverse(corr)
+        start, _ = initial_communalities(inverse)
+        assert_allclose(start, oracle.smc(corr), atol=1e-8)
 
-        model = paf_iterate(corr)
-        reference = oracle.paf_trajectory(corr.values, start)
+        model = paf_iterate(corr, inverse)
+        reference = oracle.paf_trajectory(corr, start)
         assert model.n_factors == reference["m"] == 2
         assert len(model.trajectory) == len(reference["steps"])
         for communalities, (_, ref_comm) in zip(model.trajectory, reference["steps"]):
@@ -127,10 +129,10 @@ def test_criterion_3_oracle_equivalence():
         grid_best, _ = oracle.varimax_grid_m2(model.unrotated_loadings, step=1e-4)
         assert abs(achieved - grid_best) < 1e-6
 
-        weights, _ = scoring_weights(corr, rotated.loadings)
+        weights = scoring_weights(inverse, rotated.loadings)
         assert_allclose(
             weights,
-            oracle.regression_weights(corr.values, rotated.loadings),
+            oracle.regression_weights(corr, rotated.loadings),
             atol=1e-8,
         )
 
@@ -208,15 +210,16 @@ def test_criterion_4_invariant_suite():
         # pipeline invariants on factor-structured data
         for matrix in pipeline_instances(100):
             corr = correlation(matrix)
-            start, _ = initial_communalities(corr)
-            model = paf_iterate(corr)
+            inverse, _ = correlation_inverse(corr)
+            start, _ = initial_communalities(inverse)
+            model = paf_iterate(corr, inverse)
             rotated = varimax(model.unrotated_loadings)
-            weights, _ = scoring_weights(corr, rotated.loadings)
+            weights = scoring_weights(inverse, rotated.loadings)
             product = weights @ rotated.loadings
             assert np.abs(product - np.eye(model.n_factors)).max() < 1e-8
             scores = weights @ matrix.values
             assert np.abs(scores.mean(axis=1)).max() < 1e-8
-            adjusted = corr.values.copy()
+            adjusted = corr.copy()
             np.fill_diagonal(adjusted, (start, *model.trajectory)[-2])
             loads = model.unrotated_loadings
             residual = adjusted @ loads - loads * (loads**2).sum(axis=0)

@@ -572,6 +572,31 @@ class TestOneFlagPerKey:
             assert usage in capsys.readouterr().out
 
 
+class TestNegativeValues:
+    """A value that starts with `-` is read as the value of the flag before it."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value, artifact, read",
+        [
+            ("sweep", "--sweep.thetas", "-1,0,1", "sweep_long.csv", b"\n-1.000000,"),
+            ("synth", "--synth.loading", "-8e-1", "synthetic.csv", b" loading=-0.8 "),
+        ],
+    )
+    def test_both_spellings_give_the_same_bytes(
+        self, tmp_path, definition_path, command, flag, value, artifact, read
+    ):
+        argv = [command, "--quiet", "--composite.definition", definition_path]
+        if command == "sweep":
+            argv += ["--input", FIXTURE]
+        outputs = []
+        for name, spelling in (("apart", [flag, value]), ("joined", [f"{flag}={value}"])):
+            out = tmp_path / name
+            assert main([*argv, "--out", str(out), *spelling]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+        assert read in outputs[0][artifact]
+
+
 class TestKeyTable:
     def test_manifest_lists_exactly_the_settings(self, tmp_path):
         # every key is recorded but input, out and quiet
@@ -821,6 +846,26 @@ class TestErrorContract:
         assert key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["synth.loading", "synth.noise_std"])
+    def test_synth_overflow_is_one_error_line(self, tmp_path, capsys, key):
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["synth", "--out", str(out), f"--{key}", "1e308"])
+        assert caught == []
+        err = self.assert_one_error(capsys, code, 2)
+        assert err.count("\n") == 1
+        assert "synth.loading" in err and "synth.noise_std" in err
+        assert not out.exists()
+
+    def test_running_out_of_memory_is_one_error_line(self, tmp_path, capsys):
+        # 42.6 PiB: more than the address space, so the allocation fails at once
+        out = tmp_path / "out"
+        code = main(["synth", "--out", str(out), "--synth.regions", "1000000000000000"])
+        err = self.assert_one_error(capsys, code, 2)
+        assert err.startswith("error: MemoryError: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_overflowing_attribute(self, tmp_path, capsys):
         rows = [f"r{j},{(j % 5 + 1) * 1e200},{j % 3},{j * j % 7}" for j in range(12)]
         data = tmp_path / "huge.csv"
@@ -968,6 +1013,7 @@ def test_readme_library_block_runs(tmp_path):
     top = ast.literal_eval(result.stdout.splitlines()[0])
     assert len(top) == 10
     assert all(isinstance(rid, str) and isinstance(v, float) for rid, v in top)
+    assert result.stdout.splitlines()[-1] == "True"
 
 
 def test_cli_import_leaves_scipy_out():

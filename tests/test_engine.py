@@ -7,7 +7,6 @@ import oracle
 from sitefactors import engine
 from sitefactors import (
     AttributeTable,
-    CorrelationMatrix,
     DimensionMismatchError,
     EngineConfig,
     NoFactorRetainedError,
@@ -15,6 +14,7 @@ from sitefactors import (
     SingularCorrelationError,
     SynthConfig,
     correlation,
+    correlation_inverse,
     dominant_attributes,
     factor_scores,
     fit_factor_model,
@@ -40,6 +40,17 @@ BLOCK_CORR = np.array(
 )
 
 
+def smc(corr, config=EngineConfig()):
+    """Start communalities through the one inverse, with every warning."""
+    inverse, warnings = correlation_inverse(corr, config)
+    start, heywood = initial_communalities(inverse)
+    return start, warnings + heywood
+
+
+def paf(corr, config=EngineConfig()):
+    return paf_iterate(corr, correlation_inverse(corr, config)[0], config)
+
+
 def as_std(values, prefix="r"):
     values = np.asarray(values, dtype=float)
     return AttributeTable(
@@ -53,23 +64,23 @@ class TestCorrelation:
     def test_identical_rows_correlate_to_one(self):
         row = oracle.zscore_rows([[1.0, 4.0, 2.0, 7.0, 5.0]])[0]
         corr = correlation(as_std([row, row]))
-        assert corr.values[0, 1] == pytest.approx(1.0, abs=1e-12)
+        assert corr[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_rows_correlate_to_zero(self):
         first = oracle.zscore_rows([[-1.0, 0.0, 1.0]])[0]
         second = oracle.zscore_rows([[1.0, -2.0, 1.0]])[0]
         corr = correlation(as_std([first, second]))
-        assert corr.values[0, 1] == pytest.approx(0.0, abs=1e-12)
+        assert corr[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_fixture_matches_oracle(self, matrix):
         corr = correlation(matrix)
-        assert_allclose(corr.values, frozen.CORRELATION, atol=1e-12)
+        assert_allclose(corr, frozen.CORRELATION, atol=1e-12)
         assert_allclose(
-            corr.values, oracle.correlation_from_standardized(matrix.values), atol=1e-14
+            corr, oracle.correlation_from_standardized(matrix.values), atol=1e-14
         )
 
     def test_invariants(self, matrix):
-        corr = correlation(matrix).values
+        corr = correlation(matrix)
         assert np.abs(corr - corr.T).max() < 1e-12
         assert_allclose(np.diag(corr), 1.0, atol=0)
         assert np.abs(corr).max() <= 1.0 + 1e-12
@@ -77,29 +88,29 @@ class TestCorrelation:
 
 class TestInitialCommunalities:
     def test_identity_gives_zero(self):
-        start, _ = initial_communalities(CorrelationMatrix(values=np.eye(4)))
+        start, _ = smc(np.eye(4))
         assert_allclose(start, 0.0, atol=1e-14)
 
     @pytest.mark.parametrize("rho", [0.3, -0.5, 0.9])
     def test_two_by_two_closed_form(self, rho):
-        corr = CorrelationMatrix(values=np.array([[1.0, rho], [rho, 1.0]]))
-        start, _ = initial_communalities(corr)
+        corr = np.array([[1.0, rho], [rho, 1.0]])
+        start, _ = smc(corr)
         assert_allclose(start, rho**2, atol=1e-12)
 
     def test_fixture_matches_oracle(self, matrix):
         corr = correlation(matrix)
-        start, _ = initial_communalities(corr)
+        start, _ = smc(corr)
         assert_allclose(start, frozen.SMC, atol=1e-10)
-        assert_allclose(start, oracle.smc(corr.values), atol=1e-12)
+        assert_allclose(start, oracle.smc(corr), atol=1e-12)
 
     def test_singular_matrix_raises_without_ridge(self):
-        corr = CorrelationMatrix(values=np.array([[1.0, 1.0], [1.0, 1.0]]))
+        corr = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(SingularCorrelationError):
-            initial_communalities(corr)
+            smc(corr)
 
     def test_singular_matrix_ridge_fallback(self):
-        corr = CorrelationMatrix(values=np.array([[1.0, 1.0], [1.0, 1.0]]))
-        start, warnings = initial_communalities(corr, EngineConfig(ridge_fallback=True))
+        corr = np.array([[1.0, 1.0], [1.0, 1.0]])
+        start, warnings = smc(corr, EngineConfig(ridge_fallback=True))
         assert np.all(start <= 1.0)
         assert np.all(start > 0.99)
         assert any(w.startswith("ridge:") for w in warnings)
@@ -107,13 +118,13 @@ class TestInitialCommunalities:
 
 class TestPafIterate:
     def test_identity_correlation_retains_nothing(self):
-        corr = CorrelationMatrix(values=np.eye(5))
+        corr = np.eye(5)
         with pytest.raises(NoFactorRetainedError):
-            paf_iterate(corr)
+            paf(corr)
 
     def test_two_block_example_matches_oracle(self):
-        corr = CorrelationMatrix(values=BLOCK_CORR)
-        model = paf_iterate(corr)
+        corr = BLOCK_CORR
+        model = paf(corr)
         reference = oracle.paf_trajectory(BLOCK_CORR, oracle.smc(BLOCK_CORR))
         assert model.n_factors == 2
         assert model.iterations_used == reference["iterations"]
@@ -130,9 +141,9 @@ class TestPafIterate:
 
     def test_fixture_full_trajectory_matches_oracle(self, matrix):
         corr = correlation(matrix)
-        start, _ = initial_communalities(corr)
-        model = paf_iterate(corr)
-        reference = oracle.paf_trajectory(corr.values, start)
+        start, _ = smc(corr)
+        model = paf(corr)
+        reference = oracle.paf_trajectory(corr, start)
         assert model.n_factors == frozen.N_FACTORS
         assert model.iterations_used == frozen.ITERATIONS
         assert model.converged is frozen.CONVERGED
@@ -148,8 +159,30 @@ class TestPafIterate:
         assert_allclose(model.communalities, frozen.COMMUNALITIES, atol=1e-8)
         assert not model.communalities.flags.writeable
 
+    def test_corr_is_given_back_bit_identical(self, matrix):
+        # the passes borrow R's buffer for their diagonal
+        corr = correlation(matrix)
+        before = corr.copy()
+        paf(corr, EngineConfig(max_iterations=3))
+        assert corr.tobytes() == before.tobytes()
+        assert corr.flags.c_contiguous and corr.flags.writeable
+
+    def test_corr_is_given_back_after_no_factor_is_retained(self, matrix):
+        corr = correlation(matrix)
+        before = corr.copy()
+        with pytest.raises(NoFactorRetainedError):
+            paf(corr, EngineConfig(kaiser_threshold=1e9))
+        assert corr.tobytes() == before.tobytes()
+
+    def test_corr_must_be_a_writeable_float_buffer(self):
+        read_only = BLOCK_CORR.copy()
+        read_only.setflags(write=False)
+        for corr in (BLOCK_CORR.astype(int), read_only):
+            with pytest.raises(TypeError, match="writeable float64"):
+                paf_iterate(corr, np.linalg.inv(BLOCK_CORR))
+
     def test_communalities_stay_clamped(self, matrix):
-        model = paf_iterate(correlation(matrix))
+        model = paf(correlation(matrix))
         for communalities in model.trajectory:
             assert communalities.min() >= 0.0
             assert communalities.max() <= 1.0
@@ -158,9 +191,9 @@ class TestPafIterate:
         # the last pass decomposed R with the diagonal of the pass before it;
         # its loadings are eigenvectors scaled so that L'L is diagonal
         corr = correlation(matrix)
-        start, _ = initial_communalities(corr)
-        model = paf_iterate(corr)
-        adjusted = corr.values.copy()
+        start, _ = smc(corr)
+        model = paf(corr)
+        adjusted = corr.copy()
         np.fill_diagonal(adjusted, (start, *model.trajectory)[-2])
         loads = model.unrotated_loadings
         residual = adjusted @ loads - loads * (loads**2).sum(axis=0)
@@ -182,7 +215,7 @@ class TestPafIterate:
 
     def test_iteration_cap_flags_nonconvergence(self, matrix):
         corr = correlation(matrix)
-        model = paf_iterate(corr, EngineConfig(max_iterations=3))
+        model = paf(corr, EngineConfig(max_iterations=3))
         assert model.converged is False
         assert model.iterations_used == 3
         assert any(w.startswith("non_convergence:") for w in model.warnings)
@@ -203,7 +236,7 @@ class TestPafIterate:
             values=values,
         )
         corr = correlation(standardize(table))
-        model = paf_iterate(corr)
+        model = paf(corr)
         heywood = [w for w in model.warnings if w.startswith("heywood:")]
         assert len(heywood) == 1
         assert model.communalities.max() <= 1.0
@@ -278,18 +311,17 @@ class TestVarimax:
 class TestScoringWeights:
     def test_orthonormal_loadings_identity_correlation(self):
         loads, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(5, 2)))
-        corr = CorrelationMatrix(values=np.eye(5))
-        weights, warnings = scoring_weights(corr, loads)
-        assert warnings == ()
+        weights = scoring_weights(np.eye(5), loads)
         assert_allclose(weights, loads.T, atol=1e-12)
 
     def test_fixture_matches_oracle(self, matrix, model):
         corr = correlation(matrix)
-        weights, _ = scoring_weights(corr, model.rotated_loadings)
+        inverse, _ = correlation_inverse(corr)
+        weights = scoring_weights(inverse, model.rotated_loadings)
         assert_allclose(weights, model.scoring_weights, atol=1e-12)
         assert_allclose(
             weights,
-            oracle.regression_weights(corr.values, model.rotated_loadings),
+            oracle.regression_weights(corr, model.rotated_loadings),
             atol=1e-8,
         )
         assert_allclose(weights, frozen.WEIGHTS, atol=1e-7)
@@ -434,6 +466,14 @@ class TestFitFactorModel:
         fit_factor_model(matrix)
         assert len(calls) == 1
 
+    def test_one_inverse_per_fit(self, matrix, monkeypatch):
+        # the start communalities and the scoring weights share one R^-1
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda m: calls.append(m) or inv(m))
+        fit_factor_model(matrix)
+        assert len(calls) == 1
+
     def test_deterministic(self, matrix):
         first = fit_factor_model(matrix)
         second = fit_factor_model(matrix)
@@ -500,7 +540,7 @@ class TestSyntheticRecovery:
         assert on.min() > 0.95
         assert off.max() < 0.2
 
-    def test_ridge_warns_at_both_stages_from_one_condition_number(self, monkeypatch):
+    def test_ridge_warns_once_and_first_from_one_condition_number(self, monkeypatch):
         config = SynthConfig(
             seed=3, n_attributes=8, n_regions=120, n_factors=2,
             loading=0.8, noise_std=0.0,
@@ -514,9 +554,8 @@ class TestSyntheticRecovery:
         )
         assert len(calls) == 1
         ridge = [w for w in model.warnings if w.startswith("ridge:")]
-        assert len(ridge) == 2
-        assert "during initial communalities" in ridge[0]
-        assert "during scoring weights" in ridge[1]
+        assert len(ridge) == 1
+        assert model.warnings[0] == ridge[0]
 
     def test_noiseless_plant_errors_without_ridge(self):
         config = SynthConfig(

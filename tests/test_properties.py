@@ -32,6 +32,7 @@ from sitefactors import (
     ZeroVarianceError,
     composite_scores,
     correlation,
+    correlation_inverse,
     describe,
     fit_factor_model,
     generate,
@@ -207,7 +208,7 @@ def test_varimax_matches_the_reference_at_the_wide_benchmark_shape():
     )
     config = EngineConfig(kaiser_threshold=2.0)
     corr = correlation(standardize(table))
-    model = paf_iterate(corr, config)
+    model = paf_iterate(corr, correlation_inverse(corr, config)[0], config)
     assert model.unrotated_loadings.shape == (420, 70)
     assert_matches_the_reference(model.unrotated_loadings)
 
@@ -251,9 +252,10 @@ def test_factor_score_rows_are_centered(seed):
 def test_final_eigenpairs_satisfy_their_decomposition(seed):
     matrix, _ = pipeline_case(seed)
     corr = correlation(matrix)
-    start, _ = initial_communalities(corr)
-    model = paf_iterate(corr)
-    adjusted = corr.values.copy()
+    inverse, _ = correlation_inverse(corr)
+    start, _ = initial_communalities(inverse)
+    model = paf_iterate(corr, inverse)
+    adjusted = corr.copy()
     np.fill_diagonal(adjusted, (start, *model.trajectory)[-2])
     loads = model.unrotated_loadings
     residual = adjusted @ loads - loads * (loads**2).sum(axis=0)
