@@ -41,7 +41,7 @@ from .engine import (
     FactorScores,
     VarimaxResult,
     correlation,
-    correlation_inverse,
+    correlation_ridge,
     dominant_attributes,
     factor_scores,
     fit_factor_model,

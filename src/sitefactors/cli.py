@@ -93,6 +93,7 @@ def _load(config: RunConfig):
     if not path:
         raise ParseError("no input file given (set --input or the 'input' key)")
     table = load_table(path, config.settings(IngestionConfig))
+    _warn(table.warnings)
     _warn("missing value handled: " + line for line in table.provenance)
     artifacts = {"provenance.log": (write_provenance, table.provenance)}
     return table, artifacts if table.provenance else {}

@@ -120,6 +120,7 @@ class AttributeTable:
     values: np.ndarray
     provenance: tuple[str, ...] = ()
     digest: str | None = None  # SHA-256 of the file it was read from
+    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -231,8 +232,9 @@ def _lines(path: Path):
     return text.splitlines(), True, digest
 
 
-def _csv_rows(path, lines):
-    """(line of the file, row) of every csv row that is not blank or a comment.
+def _csv_rows(path, lines, comments: list[int]):
+    """(line of the file, row) of every csv row that is not blank or a comment;
+    the line of each comment row goes onto `comments`.
 
     A quoted field keeps its line breaks. A field longer than the `csv`
     module's limit of 131072 characters is a ParseError naming its line;
@@ -241,27 +243,32 @@ def _csv_rows(path, lines):
     reader = csv.reader(lines)
     try:
         for row in reader:
-            if row and not row[0].lstrip().startswith("#"):
+            if not row:
+                continue
+            if row[0].lstrip().startswith("#"):
+                comments.append(reader.line_num)
+            else:
                 yield reader.line_num, row
     except csv.Error as exc:
         raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
-def _parse_clean(lines: list[str], header_line: int, n: int):
-    """Region ids, R x N matrix and empty provenance, by numpy's C parser.
+def _parse_clean(lines: list[str], header_line: int, n: int, comments: list[int]):
+    """Region ids, R x N matrix and empty provenance, by numpy's C parser;
+    the line of each comment after the header goes onto `comments`.
 
-    Returns None unless every line after the header that is not blank or a
-    comment has N+1 fields, a non-empty unique region id and N finite
-    values. The lines hold no `CELL_PATH_MARKS` character, so they are
-    `csv`'s and no field is quoted. The parser reads a subset of what
+    Returns None, and adds no line, unless every line after the header that
+    is not blank or a comment has N+1 fields, a non-empty unique region id
+    and N finite values. The lines hold no `CELL_PATH_MARKS` character, so
+    they are `csv`'s and no field is quoted. The parser reads a subset of what
     `float` reads (no `3_5`, no Arabic-Indic digits), correctly rounded
     like it, so an accepted matrix is bit-equal to the per-cell parse.
     """
-    body = [
-        line
-        for line in lines[header_line:]
-        if line and not line.lstrip().startswith("#")
-    ]
+    tail = lines[header_line:]
+    body = [line for line in tail if line and not line.lstrip().startswith("#")]
+    # a line that is neither blank nor in the body is a comment
+    commented = len(body) + tail.count("") < len(tail)
+    del tail  # not held beside the parsed matrix
     if not body or any(line.count(",") != n for line in body):
         return None
     region_ids = [line.partition(",")[0].strip() for line in body]
@@ -280,6 +287,12 @@ def _parse_clean(lines: list[str], header_line: int, n: int):
         return None
     if not np.isfinite(values).all():
         return None
+    if commented:
+        comments.extend(
+            number
+            for number, line in enumerate(lines[header_line:], header_line + 1)
+            if line.lstrip().startswith("#")
+        )
     return region_ids, values, []
 
 
@@ -338,13 +351,16 @@ def _parse_cells(path, rows, attribute_names, schema: IngestionConfig):
 
 
 def _parse(path: Path, schema: IngestionConfig):
-    """Attribute names, region ids, R x N matrix, provenance and digest of
-    the file; its text and lines go when this returns."""
+    """Attribute names, region ids, R x N matrix, provenance, digest and the
+    lines of the comments after the header of the file; its text and lines
+    go when this returns."""
     lines, clean, digest = _lines(path)
-    rows = _csv_rows(path, lines)
+    comments: list[int] = []
+    rows = _csv_rows(path, lines, comments)
     header_line, header = next(rows, (0, None))
     if header is None:
         raise ParseError(f"{path}: no rows found")
+    comments.clear()  # notes above the header, as `synth` writes, are expected
     header = [cell.strip() for cell in header]
     if header[0] != "region_id":
         raise SchemaError(f"{path}: first column must be 'region_id', got {header[0]!r}")
@@ -359,11 +375,13 @@ def _parse(path: Path, schema: IngestionConfig):
             f"{path}: duplicate attribute columns {_duplicates(attribute_names)}"
         )
     # a clean attempt that fails leaves `rows` just past the header
-    parsed = _parse_clean(lines, header_line, len(attribute_names)) if clean else None
+    parsed = (
+        _parse_clean(lines, header_line, len(attribute_names), comments) if clean else None
+    )
     region_ids, values, provenance = parsed or (
         _parse_cells(path, rows, attribute_names, schema)
     )
-    return attribute_names, region_ids, values, provenance, digest
+    return attribute_names, region_ids, values, provenance, digest, comments
 
 
 def load_table(path, schema: IngestionConfig = IngestionConfig()) -> AttributeTable:
@@ -371,8 +389,10 @@ def load_table(path, schema: IngestionConfig = IngestionConfig()) -> AttributeTa
 
     A line whose first field starts with `#` is a comment anywhere in the
     file (the synthetic data generator documents its planted structure this
-    way). The first data row must be the header `region_id,<attr>,...`, and
-    no attribute name may be empty. A leading UTF-8 byte-order mark, as
+    way). The table carries one warning for the comments after the header,
+    which may be rows whose region id starts with `#`. The first data row
+    must be the header `region_id,<attr>,...`, and no attribute name may be
+    empty. A leading UTF-8 byte-order mark, as
     spreadsheet exports write, is skipped. Errors name the line of the file.
     The table carries the SHA-256 of the file's bytes.
 
@@ -382,12 +402,21 @@ def load_table(path, schema: IngestionConfig = IngestionConfig()) -> AttributeTa
     missing-value intervention, goes through `csv` and `_parse_cell`.
     """
     path = Path(path)
-    attribute_names, region_ids, values, provenance, digest = _parse(path, schema)
+    attribute_names, region_ids, values, provenance, digest, comments = _parse(
+        path, schema
+    )
     n = len(attribute_names)
     if len(region_ids) < n + 1:
         raise DegenerateDataError(
             f"{path}: {len(region_ids)} regions remain after ingestion, "
             f"need at least {n + 1}"
+        )
+    warnings = ()
+    if comments:
+        warnings = (
+            f"{path}: skipped {len(comments)} comment line(s) after the header, "
+            f"the first at line {comments[0]}; a row whose first field starts "
+            "with # is a comment",
         )
     return AttributeTable(
         attribute_names=attribute_names,
@@ -398,6 +427,7 @@ def load_table(path, schema: IngestionConfig = IngestionConfig()) -> AttributeTa
         values=np.ascontiguousarray(values.T),
         provenance=tuple(provenance),
         digest=digest,
+        warnings=warnings,
     )
 
 

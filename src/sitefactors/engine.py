@@ -1,10 +1,11 @@
 """Latent-factor extraction engine.
 
-Pipeline: correlation matrix R and its one inverse -> squared-multiple-
-correlation start values -> iterated principal-axis factoring with Kaiser
-retention, in R's own buffer -> varimax rotation -> regression scoring
-weights. :func:`fit_factor_model` chains the stages and returns a fully
-populated, sign-canonicalized model.
+Pipeline: correlation matrix R and the ridge decision -> squared-multiple-
+correlation start values from the one inverse of R, dropped at once ->
+iterated principal-axis factoring with Kaiser retention, in R's own buffer
+-> varimax rotation -> regression scoring weights, solved against R.
+:func:`fit_factor_model` chains the stages and returns a fully populated,
+sign-canonicalized model.
 """
 
 from __future__ import annotations
@@ -140,15 +141,20 @@ def correlation(a: AttributeTable) -> np.ndarray:
     return corr
 
 
-def correlation_inverse(corr: np.ndarray, config: EngineConfig = EngineConfig()):
-    """Inverse of the correlation matrix with the optional ridge fallback.
+def correlation_ridge(corr: np.ndarray, config: EngineConfig = EngineConfig()):
+    """The ridge the fit adds to the correlation diagonal: 0, or RIDGE_DELTA.
 
-    Returns (inverse, warnings). The ridge path is flag-controlled and
-    warns because a silent regularization would change results unannounced.
+    Returns (ridge, warnings). The 2-norm condition number of the symmetric
+    R is max|eigenvalue| / min|eigenvalue|, from one `eigvalsh`. The ridge
+    path is flag-controlled and warns because a silent regularization would
+    change results unannounced.
     """
-    cond = np.linalg.cond(corr)
+    magnitudes = np.abs(np.linalg.eigvalsh(corr))
+    # a zero eigenvalue makes the quotient inf, which is past the limit
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = magnitudes.max() / magnitudes.min()
     if cond <= CONDITION_LIMIT:
-        return np.linalg.inv(corr), ()
+        return 0.0, ()
     if not config.ridge_fallback:
         raise SingularCorrelationError(
             f"correlation matrix condition number {cond:.3e} exceeds "
@@ -158,15 +164,21 @@ def correlation_inverse(corr: np.ndarray, config: EngineConfig = EngineConfig())
         f"ridge: added {RIDGE_DELTA:.1e} to the correlation diagonal "
         f"(condition number {cond:.3e})"
     )
-    return np.linalg.inv(corr + RIDGE_DELTA * np.eye(corr.shape[0])), (warning,)
+    return RIDGE_DELTA, (warning,)
 
 
-def initial_communalities(inverse: np.ndarray):
-    """Squared multiple correlations: 1 - 1/diag(inverse correlation).
+def _ridged(corr: np.ndarray, ridge: float) -> np.ndarray:
+    """R + ridge * I; R itself when the ridge is 0."""
+    return corr + ridge * np.eye(corr.shape[0]) if ridge else corr
 
-    Returns (values, warnings), the values clamped into [0, 1].
+
+def initial_communalities(corr: np.ndarray, ridge: float = 0.0):
+    """Squared multiple correlations: 1 - 1/diag((R + ridge * I)^-1).
+
+    Returns (values, warnings), the values clamped into [0, 1]. The inverse
+    is the fit's only one, and it is gone when this returns.
     """
-    values = 1.0 - 1.0 / np.diag(inverse)
+    values = 1.0 - 1.0 / np.diag(np.linalg.inv(_ridged(corr, ridge)))
     clamped = np.clip(values, 0.0, 1.0)
     warnings = ()
     if np.any(clamped != values):
@@ -175,11 +187,12 @@ def initial_communalities(inverse: np.ndarray):
 
 
 def paf_iterate(
-    corr: np.ndarray, inverse: np.ndarray, config: EngineConfig = EngineConfig()
+    corr: np.ndarray, ridge: float = 0.0, config: EngineConfig = EngineConfig()
 ) -> FactorModel:
     """Iterated principal-axis extraction from squared-multiple-correlation starts.
 
-    The starts come from `inverse`, the inverse of `corr`. Each pass writes
+    The starts come from the inverse of `corr` plus `ridge` on its diagonal,
+    which is dropped before the first pass. Each pass writes
     the current communality estimates onto the diagonal of `corr` itself
     (borrowed, not copied, and given back bit-identical on return or raise),
     eigendecomposes, rebuilds loadings from the retained eigenpairs (square
@@ -191,7 +204,7 @@ def paf_iterate(
     # an integer buffer would truncate each diagonal written into it
     if corr.dtype != np.float64 or not corr.flags.writeable:
         raise TypeError("paf_iterate writes into corr: pass a writeable float64 array")
-    comm, start_warnings = initial_communalities(inverse)
+    comm, start_warnings = initial_communalities(corr, ridge)
     diagonal = np.diag(corr).copy()
     trajectory: list[np.ndarray] = []
     heywood_hits: list[int] = []
@@ -362,11 +375,13 @@ def varimax(
     )
 
 
-def scoring_weights(inverse: np.ndarray, rotated_loadings) -> np.ndarray:
+def scoring_weights(corr: np.ndarray, rotated_loadings, ridge: float = 0.0) -> np.ndarray:
     """Regression-method scoring weights (L' R^-1 L)^-1 L' R^-1, a left
-    inverse of the loadings L, from the inverse correlation R^-1."""
+    inverse of the loadings L, with R the correlation plus `ridge` on its
+    diagonal. X = R^-1 L comes from a solve against R, no inverse, and the
+    weights from a second solve: (X' L)^-1 X'."""
     loadings = np.asarray(rotated_loadings, dtype=float)
-    projected = loadings.T @ inverse
+    projected = np.linalg.solve(_ridged(corr, ridge), loadings).T
     return np.linalg.solve(projected @ loadings, projected)
 
 
@@ -424,15 +439,15 @@ def fit_factor_model(
 ) -> FactorModel:
     """Full extraction chain on a standardized table.
 
-    Runs correlation -> its inverse -> start communalities -> principal-axis
-    iteration -> varimax -> scoring weights, then sign-canonicalizes and
-    assigns each attribute its dominant factor. The returned model carries
+    Runs correlation -> the ridge decision -> start communalities ->
+    principal-axis iteration -> varimax -> scoring weights, then
+    sign-canonicalizes and assigns each attribute its dominant factor. The returned model carries
     the attribute names and all accumulated warnings, the ridge note first
     and the tie warnings last.
     """
     corr = correlation(a)
-    inverse, ridge_warnings = correlation_inverse(corr, config)
-    model = paf_iterate(corr, inverse, config)
+    ridge, ridge_warnings = correlation_ridge(corr, config)
+    model = paf_iterate(corr, ridge, config)
     # the cap is read at call time, so it can be lowered module-wide
     rotated = varimax(
         model.unrotated_loadings,
@@ -446,7 +461,7 @@ def fit_factor_model(
             f"non_convergence: varimax sweep cap {VARIMAX_MAX_SWEEPS} "
             f"reached (last criterion change {history[-1] - history[-2]:.3e})",
         )
-    weights = scoring_weights(inverse, rotated.loadings)
+    weights = scoring_weights(corr, rotated.loadings, ridge)
     loadings, rotation, weights = sign_canonicalize(
         rotated.loadings, rotated.rotation, weights
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import AttributeTable
+from .datamodel import AttributeTable, _spread
 from .errors import SchemaError
 from .reports import table_rows, write_table
 
@@ -118,16 +118,20 @@ def generate(config: SynthConfig = SynthConfig()) -> tuple[AttributeTable, np.nd
     noise -= noise.mean(axis=1, keepdims=True)
     noise -= (noise @ basis) @ basis.T
     noise /= noise.std(axis=1, ddof=1, keepdims=True)
-    # a finite loading or noise level can still overflow; that is one error
+    # a finite loading or noise level can still overflow, in the values or
+    # in the squared deviations that standardizing them takes; that is one
+    # error, by the rule `standardize` refuses an attribute with
     with np.errstate(over="ignore", invalid="ignore"):
         values = loadings @ factors + config.noise_std * noise
         scales = rng.uniform(1.0, 100.0, size=config.n_attributes)
         offsets = scales * rng.uniform(8.0, 12.0, size=config.n_attributes)
         values = values * scales[:, None] + offsets[:, None]
-    if not np.all(np.isfinite(values)):
+    *_, overflow = _spread(values)
+    if overflow.any():
         raise SchemaError(
             f"synth.loading {config.loading:g} and synth.noise_std "
-            f"{config.noise_std:g} put generated values past the float64 range"
+            f"{config.noise_std:g} put generated values past what float64 "
+            "can standardize"
         )
     table = AttributeTable(
         attribute_names=_attribute_names(config.n_attributes),

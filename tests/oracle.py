@@ -6,6 +6,7 @@ code paths is the whole point.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -191,6 +192,46 @@ def regression_weights(corr, loads):
     r_inv = np.linalg.inv(corr)
     gram = loads.T @ r_inv @ loads
     return np.linalg.inv(gram) @ loads.T @ r_inv
+
+
+def _exact_inverse(rows):
+    """Gauss-Jordan inverse of a square matrix of Fractions, exactly."""
+    n = len(rows)
+    work = [
+        list(row) + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if work[r][col] != 0)
+        work[col], work[pivot] = work[pivot], work[col]
+        work[col] = [x / work[col][col] for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+    return [row[n:] for row in work]
+
+
+def _exact_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def exact_regression_weights(corr, loads, ridge=0.0):
+    """B = (L^T S^-1 L)^-1 L^T S^-1 with S = R + ridge * I, in exact rational
+    arithmetic on the float inputs, rounded to float once at the end. A
+    float64 inverse of a nearly singular S would be off by about its
+    condition number times machine epsilon."""
+    corr = np.asarray(corr, dtype=float)
+    n = corr.shape[0]
+    s = [
+        [Fraction(corr[i, j]) + (Fraction(ridge) if i == j else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    loads_t = [[Fraction(x) for x in col] for col in np.asarray(loads, dtype=float).T]
+    projected = _exact_product(loads_t, _exact_inverse(s))
+    gram = _exact_product(projected, [list(row) for row in zip(*loads_t)])
+    weights = _exact_product(_exact_inverse(gram), projected)
+    return np.array([[float(x) for x in row] for row in weights])
 
 
 def factor_scores(weights, a_std):

@@ -23,7 +23,7 @@ from sitefactors import (
     SynthConfig,
     composite_scores,
     correlation,
-    correlation_inverse,
+    correlation_ridge,
     factor_scores,
     fit_factor_model,
     initial_communalities,
@@ -107,11 +107,11 @@ def test_criterion_3_oracle_equivalence():
             corr, oracle.correlation_from_standardized(matrix.values), atol=1e-8
         )
 
-        inverse, _ = correlation_inverse(corr)
-        start, _ = initial_communalities(inverse)
+        ridge, _ = correlation_ridge(corr)
+        start, _ = initial_communalities(corr, ridge)
         assert_allclose(start, oracle.smc(corr), atol=1e-8)
 
-        model = paf_iterate(corr, inverse)
+        model = paf_iterate(corr, ridge)
         reference = oracle.paf_trajectory(corr, start)
         assert model.n_factors == reference["m"] == 2
         assert len(model.trajectory) == len(reference["steps"])
@@ -129,7 +129,7 @@ def test_criterion_3_oracle_equivalence():
         grid_best, _ = oracle.varimax_grid_m2(model.unrotated_loadings, step=1e-4)
         assert abs(achieved - grid_best) < 1e-6
 
-        weights = scoring_weights(inverse, rotated.loadings)
+        weights = scoring_weights(corr, rotated.loadings, ridge)
         assert_allclose(
             weights,
             oracle.regression_weights(corr, rotated.loadings),
@@ -210,11 +210,11 @@ def test_criterion_4_invariant_suite():
         # pipeline invariants on factor-structured data
         for matrix in pipeline_instances(100):
             corr = correlation(matrix)
-            inverse, _ = correlation_inverse(corr)
-            start, _ = initial_communalities(inverse)
-            model = paf_iterate(corr, inverse)
+            ridge, _ = correlation_ridge(corr)
+            start, _ = initial_communalities(corr, ridge)
+            model = paf_iterate(corr, ridge)
             rotated = varimax(model.unrotated_loadings)
-            weights = scoring_weights(inverse, rotated.loadings)
+            weights = scoring_weights(corr, rotated.loadings, ridge)
             product = weights @ rotated.loadings
             assert np.abs(product - np.eye(model.n_factors)).max() < 1e-8
             scores = weights @ matrix.values

@@ -74,6 +74,24 @@ class TestDescribe:
         assert code == 0
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("command", ["describe", "fit"])
+    def test_comment_rows_after_the_header_warn_once(self, tmp_path, capsys, command):
+        lines = Path(FIXTURE).read_text().splitlines()
+        header = next(k for k, line in enumerate(lines) if line.startswith("region_id"))
+        # a note above the header, a commented-out region and a note below it
+        lines.insert(header, "# note")
+        lines[header + 3] = "#" + lines[header + 3]
+        lines.append("# end")
+        data = tmp_path / "commented.csv"
+        data.write_text("\n".join(lines) + "\n")
+        code = main([command, "--input", str(data), "--out", str(tmp_path / "out")])
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "comment" in line] == [
+            f"warning: {data}: skipped 2 comment line(s) after the header, the first "
+            f"at line {header + 4}; a row whose first field starts with # is a comment"
+        ]
+
 
 class TestFit:
     def test_writes_all_artifacts(self, tmp_path):
@@ -853,6 +871,16 @@ class TestErrorContract:
             warnings.simplefilter("always")
             code = main(["synth", "--out", str(out), f"--{key}", "1e308"])
         assert caught == []
+        err = self.assert_one_error(capsys, code, 2)
+        assert err.count("\n") == 1
+        assert "synth.loading" in err and "synth.noise_std" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["synth.loading", "synth.noise_std"])
+    def test_synth_values_too_large_to_standardize_exit_2(self, tmp_path, capsys, key):
+        # finite values whose squared deviations overflow, which `fit` refuses
+        out = tmp_path / "out"
+        code = main(["synth", "--out", str(out), f"--{key}", "1e200"])
         err = self.assert_one_error(capsys, code, 2)
         assert err.count("\n") == 1
         assert "synth.loading" in err and "synth.noise_std" in err

@@ -150,6 +150,11 @@ class TestLoadTable:
         path = write_csv(tmp_path / "body.csv", BASE_CSV.replace("r5,", region_id + ","))
         table = load_table(path)
         assert table.region_ids == ("r1", "r2", "r3", "r4")
+        # and it is not skipped without a word, on either parse path
+        assert table.warnings == (
+            f"{path}: skipped 1 comment line(s) after the header, the first at "
+            "line 6; a row whose first field starts with # is a comment",
+        )
 
     def test_wrong_leading_header(self, tmp_path):
         path = write_csv(tmp_path / "head.csv", "id,a,b\nr1,1,2\n")
@@ -205,6 +210,7 @@ class TestLoadTable:
         table = load_table(path)
         assert table.n_attributes == 3
         assert table.n_regions == 5
+        assert table.warnings == ()  # notes above the header are expected
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(SchemaError):

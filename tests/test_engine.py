@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,7 +16,7 @@ from sitefactors import (
     SingularCorrelationError,
     SynthConfig,
     correlation,
-    correlation_inverse,
+    correlation_ridge,
     dominant_attributes,
     factor_scores,
     fit_factor_model,
@@ -41,14 +43,28 @@ BLOCK_CORR = np.array(
 
 
 def smc(corr, config=EngineConfig()):
-    """Start communalities through the one inverse, with every warning."""
-    inverse, warnings = correlation_inverse(corr, config)
-    start, heywood = initial_communalities(inverse)
+    """Start communalities after the fit's ridge decision, with every warning."""
+    ridge, warnings = correlation_ridge(corr, config)
+    start, heywood = initial_communalities(corr, ridge)
     return start, warnings + heywood
 
 
 def paf(corr, config=EngineConfig()):
-    return paf_iterate(corr, correlation_inverse(corr, config)[0], config)
+    return paf_iterate(corr, correlation_ridge(corr, config)[0], config)
+
+
+def count_linalg(monkeypatch, *names):
+    """Calls of each named `np.linalg` function, counted from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        function = getattr(np.linalg, name)
+
+        def counted(*args, _function=function, _name=name, **kwargs):
+            calls[_name] += 1
+            return _function(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 def as_std(values, prefix="r"):
@@ -179,7 +195,7 @@ class TestPafIterate:
         read_only.setflags(write=False)
         for corr in (BLOCK_CORR.astype(int), read_only):
             with pytest.raises(TypeError, match="writeable float64"):
-                paf_iterate(corr, np.linalg.inv(BLOCK_CORR))
+                paf_iterate(corr)
 
     def test_communalities_stay_clamped(self, matrix):
         model = paf(correlation(matrix))
@@ -316,8 +332,7 @@ class TestScoringWeights:
 
     def test_fixture_matches_oracle(self, matrix, model):
         corr = correlation(matrix)
-        inverse, _ = correlation_inverse(corr)
-        weights = scoring_weights(inverse, model.rotated_loadings)
+        weights = scoring_weights(corr, model.rotated_loadings)
         assert_allclose(weights, model.scoring_weights, atol=1e-12)
         assert_allclose(
             weights,
@@ -460,19 +475,32 @@ class TestFitFactorModel:
             EngineConfig(**{field: value})
 
     def test_one_condition_number_per_fit(self, matrix, monkeypatch):
-        calls = []
-        cond = np.linalg.cond
-        monkeypatch.setattr(np.linalg, "cond", lambda m: calls.append(m) or cond(m))
+        # from one eigvalsh; cond would run a full SVD
+        calls = count_linalg(monkeypatch, "eigvalsh", "cond", "svd")
         fit_factor_model(matrix)
-        assert len(calls) == 1
+        assert calls == {"eigvalsh": 1, "cond": 0, "svd": 0}
 
     def test_one_inverse_per_fit(self, matrix, monkeypatch):
-        # the start communalities and the scoring weights share one R^-1
-        calls = []
-        inv = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda m: calls.append(m) or inv(m))
+        # R^-1 serves the start communalities alone; the weights solve twice
+        calls = count_linalg(monkeypatch, "inv", "solve")
         fit_factor_model(matrix)
-        assert len(calls) == 1
+        assert calls == {"inv": 1, "solve": 2}
+
+    def test_peak_memory_at_the_wide_benchmark_shape(self):
+        # R and the eigh buffers with no N x N inverse beside them: about
+        # 2.5 N^2 doubles at peak; an inverse held through the passes adds N^2
+        table, _ = generate(
+            SynthConfig(seed=42, n_attributes=420, n_regions=500, n_factors=70)
+        )
+        matrix = standardize(table)
+        n = matrix.n_attributes
+        tracemalloc.start()
+        try:
+            fit_factor_model(matrix, EngineConfig(kaiser_threshold=2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * n * n * 8
 
     def test_deterministic(self, matrix):
         first = fit_factor_model(matrix)
@@ -546,16 +574,30 @@ class TestSyntheticRecovery:
             loading=0.8, noise_std=0.0,
         )
         table, _ = generate(config)
-        calls = []
-        cond = np.linalg.cond
-        monkeypatch.setattr(np.linalg, "cond", lambda m: calls.append(m) or cond(m))
+        calls = count_linalg(monkeypatch, "eigvalsh", "cond", "svd")
         model = fit_factor_model(
             standardize(table), EngineConfig(ridge_fallback=True)
         )
-        assert len(calls) == 1
+        assert calls == {"eigvalsh": 1, "cond": 0, "svd": 0}
         ridge = [w for w in model.warnings if w.startswith("ridge:")]
         assert len(ridge) == 1
         assert model.warnings[0] == ridge[0]
+
+    def test_ridge_weights_match_the_ridged_formula(self):
+        # S = R + 1e-8 I has condition number about 4e8, so float64 weights
+        # can sit about 1e-8 from the exact ones; the exact weights at half
+        # or twice the ridge differ from these by 4e-8 or more
+        config = SynthConfig(
+            seed=3, n_attributes=8, n_regions=120, n_factors=2,
+            loading=0.8, noise_std=0.0,
+        )
+        table, _ = generate(config)
+        matrix = standardize(table)
+        model = fit_factor_model(matrix, EngineConfig(ridge_fallback=True))
+        expected = oracle.exact_regression_weights(
+            correlation(matrix), model.rotated_loadings, engine.RIDGE_DELTA
+        )
+        assert_allclose(model.scoring_weights, expected, rtol=0, atol=1e-8)
 
     def test_noiseless_plant_errors_without_ridge(self):
         config = SynthConfig(

@@ -32,7 +32,7 @@ from sitefactors import (
     ZeroVarianceError,
     composite_scores,
     correlation,
-    correlation_inverse,
+    correlation_ridge,
     describe,
     fit_factor_model,
     generate,
@@ -208,7 +208,7 @@ def test_varimax_matches_the_reference_at_the_wide_benchmark_shape():
     )
     config = EngineConfig(kaiser_threshold=2.0)
     corr = correlation(standardize(table))
-    model = paf_iterate(corr, correlation_inverse(corr, config)[0], config)
+    model = paf_iterate(corr, correlation_ridge(corr, config)[0], config)
     assert model.unrotated_loadings.shape == (420, 70)
     assert_matches_the_reference(model.unrotated_loadings)
 
@@ -252,9 +252,9 @@ def test_factor_score_rows_are_centered(seed):
 def test_final_eigenpairs_satisfy_their_decomposition(seed):
     matrix, _ = pipeline_case(seed)
     corr = correlation(matrix)
-    inverse, _ = correlation_inverse(corr)
-    start, _ = initial_communalities(inverse)
-    model = paf_iterate(corr, inverse)
+    ridge, _ = correlation_ridge(corr)
+    start, _ = initial_communalities(corr, ridge)
+    model = paf_iterate(corr, ridge)
     adjusted = corr.copy()
     np.fill_diagonal(adjusted, (start, *model.trajectory)[-2])
     loads = model.unrotated_loadings
@@ -586,7 +586,8 @@ def load_outcome(path, policy):
         table = load_table(path, IngestionConfig(missing_policy=policy))
     except SiteFactorsError as exc:
         return type(exc), str(exc)
-    return table.region_ids, table.values.view(np.uint64).tobytes(), table.provenance
+    values = table.values.view(np.uint64).tobytes()
+    return table.region_ids, values, table.provenance, table.warnings
 
 
 def load_outcomes(path, lines, bom=False, quote_ids=False, ending="\n"):
