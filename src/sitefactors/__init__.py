@@ -47,6 +47,7 @@ from .engine import (
     fit_factor_model,
     initial_communalities,
     paf_iterate,
+    retained_count,
     scoring_weights,
     sign_canonicalize,
     variance_accounting,

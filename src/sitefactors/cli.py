@@ -87,12 +87,13 @@ def _warn(messages) -> None:
         print(f"warning: {_one_line(message)}", file=sys.stderr)
 
 
-def _load(config: RunConfig):
-    """The input table, and its provenance log if a cell was handled."""
+def _load(config: RunConfig, digest: bool = True):
+    """The input table, and its provenance log if a cell was handled; the
+    input is hashed only for a `digest` that an artifact records."""
     path = config["input"]
     if not path:
         raise ParseError("no input file given (set --input or the 'input' key)")
-    table = load_table(path, config.settings(IngestionConfig))
+    table = load_table(path, config.settings(IngestionConfig), digest=digest)
     _warn(table.warnings)
     _warn("missing value handled: " + line for line in table.provenance)
     artifacts = {"provenance.log": (write_provenance, table.provenance)}
@@ -105,24 +106,25 @@ def _fit(config: RunConfig):
     table = standardize(table)  # the fit holds the standardized copy alone
     model = fit_factor_model(table, config.settings(EngineConfig))
     _warn(model.warnings)
-    artifacts["manifest.json"] = (write_manifest, _manifest(config, table.digest, model))
+    artifacts["manifest.json"] = (write_manifest, _manifest(config, table, model))
     return table, model, artifacts
 
 
-def _manifest(config: RunConfig, digest: str, model) -> dict:
+def _manifest(config: RunConfig, table, model) -> dict:
     # the digest pins the input content, so reruns into any directory of the
     # same data and settings produce byte-identical artifacts; json sorts
-    # the keys and writes the tuples as lists
+    # the keys and writes the tuples as lists; the warnings are those of
+    # stderr, the table's before the model's
     return {
         "config": {
             key: value for key, value in config.values.items() if key not in LOCATIONS
         },
-        "input_digest": digest,
+        "input_digest": table.digest,
         "tool_version": __version__,
         "converged": model.converged,
         "iterations_used": model.iterations_used,
         "n_factors": model.n_factors,
-        "warnings": list(model.warnings),
+        "warnings": [*table.warnings, *model.warnings],
     }
 
 
@@ -144,7 +146,7 @@ def _scored(config: RunConfig):
 
 
 def cmd_describe(config: RunConfig):
-    table, artifacts = _load(config)
+    table, artifacts = _load(config, digest=False)  # stats.csv holds no digest
     stats = describe(table)
     _warn(stats.warnings)
     artifacts["stats.csv"] = (write_stats_csv, stats)

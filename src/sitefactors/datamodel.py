@@ -9,7 +9,6 @@ stage works in.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import re
@@ -25,6 +24,16 @@ from .errors import (
     SchemaError,
     ZeroVarianceError,
 )
+
+# CPython's builtin SHA-256, as `random` takes its sha512: the stdlib's
+# OpenSSL-backed module would map libcrypto into every process to hash one file
+try:
+    from _sha2 import sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # a build without the builtin hashes
+        from hashlib import sha256
 
 MISSING_POLICIES = ("reject", "drop-region", "impute-median")
 DUPLICATES_NAMED = 10  # an error names at most this many repeated names
@@ -188,14 +197,14 @@ def _parse_cell(text: str) -> float:
     return value if math.isfinite(value) else MISSING
 
 
-def _read(path: Path) -> tuple[str, str]:
-    """The decoded text of the file and the SHA-256 of its bytes."""
+def _read(path: Path, digest: bool) -> tuple[str, str | None]:
+    """The decoded text of the file and, if `digest`, the SHA-256 of its bytes."""
     try:
         data = path.read_bytes()
         text = data.decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return text, hashlib.sha256(data).hexdigest()
+    return text, sha256(data).hexdigest() if digest else None
 
 
 def read_json_object(path: Path, what: str):
@@ -217,16 +226,16 @@ def read_json_object(path: Path, what: str):
         raise SchemaError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _lines(path: Path):
-    """The lines of the file, whether numpy's C parser may read them, and the
-    SHA-256 of its bytes.
+def _lines(path: Path, digest: bool):
+    """The lines of the file, whether numpy's C parser may read them, and, if
+    `digest`, the SHA-256 of its bytes.
 
     A text with a `CELL_PATH_MARKS` character is matched line by line with
     `CSV_LINE`, and the matches keep it alive. Any other text is split by
     `str.splitlines`, which ends its lines where `csv` does, and goes when
     this returns.
     """
-    text, digest = _read(path)
+    text, digest = _read(path, digest)
     if any(mark in text for mark in CELL_PATH_MARKS):
         return (line.group() for line in CSV_LINE.finditer(text)), False, digest
     return text.splitlines(), True, digest
@@ -350,11 +359,11 @@ def _parse_cells(path, rows, attribute_names, schema: IngestionConfig):
     return region_ids, values, provenance
 
 
-def _parse(path: Path, schema: IngestionConfig):
+def _parse(path: Path, schema: IngestionConfig, digest: bool):
     """Attribute names, region ids, R x N matrix, provenance, digest and the
     lines of the comments after the header of the file; its text and lines
     go when this returns."""
-    lines, clean, digest = _lines(path)
+    lines, clean, digest = _lines(path, digest)
     comments: list[int] = []
     rows = _csv_rows(path, lines, comments)
     header_line, header = next(rows, (0, None))
@@ -384,7 +393,9 @@ def _parse(path: Path, schema: IngestionConfig):
     return attribute_names, region_ids, values, provenance, digest, comments
 
 
-def load_table(path, schema: IngestionConfig = IngestionConfig()) -> AttributeTable:
+def load_table(
+    path, schema: IngestionConfig = IngestionConfig(), *, digest: bool = True
+) -> AttributeTable:
     """Read and validate a region-by-attribute CSV.
 
     A line whose first field starts with `#` is a comment anywhere in the
@@ -394,7 +405,8 @@ def load_table(path, schema: IngestionConfig = IngestionConfig()) -> AttributeTa
     must be the header `region_id,<attr>,...`, and no attribute name may be
     empty. A leading UTF-8 byte-order mark, as
     spreadsheet exports write, is skipped. Errors name the line of the file.
-    The table carries the SHA-256 of the file's bytes.
+    The table carries the SHA-256 of the file's bytes; with `digest=False`
+    it carries None and the file is not hashed.
 
     Lines end at CR, LF or CRLF, as `csv` ends them. A file without a
     `CELL_PATH_MARKS` character whose every body cell parses is read by
@@ -403,7 +415,7 @@ def load_table(path, schema: IngestionConfig = IngestionConfig()) -> AttributeTa
     """
     path = Path(path)
     attribute_names, region_ids, values, provenance, digest, comments = _parse(
-        path, schema
+        path, schema, digest
     )
     n = len(attribute_names)
     if len(region_ids) < n + 1:

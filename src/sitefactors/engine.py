@@ -186,6 +186,18 @@ def initial_communalities(corr: np.ndarray, ridge: float = 0.0):
     return clamped, warnings
 
 
+def retained_count(first_eigenvalues: np.ndarray, config: EngineConfig = EngineConfig()) -> int:
+    """The Kaiser count: how many of the first pass's eigenvalues, largest
+    first, reach `config.kaiser_threshold`. None is a NoFactorRetainedError."""
+    n_factors = int(np.sum(first_eigenvalues >= config.kaiser_threshold))
+    if n_factors == 0:
+        raise NoFactorRetainedError(
+            "no eigenvalue reached the retention threshold "
+            f"{config.kaiser_threshold:g} (largest was {first_eigenvalues[0]:.6g})"
+        )
+    return n_factors
+
+
 def paf_iterate(
     corr: np.ndarray, ridge: float = 0.0, config: EngineConfig = EngineConfig()
 ) -> FactorModel:
@@ -198,7 +210,7 @@ def paf_iterate(
     eigendecomposes, rebuilds loadings from the retained eigenpairs (square
     roots taken only for positive eigenvalues) and updates the communalities
     as row sums of squared loadings. The retained factor count is fixed by
-    the Kaiser rule on the first pass and the loop stops when the total
+    `retained_count` on the first pass and the loop stops when the total
     absolute communality change drops below epsilon.
     """
     # an integer buffer would truncate each diagonal written into it
@@ -216,12 +228,7 @@ def paf_iterate(
             values, vectors = np.linalg.eigh(corr)
             values, vectors = values[::-1], vectors[:, ::-1]
             if iteration == 1:
-                n_factors = int(np.sum(values >= config.kaiser_threshold))
-                if n_factors == 0:
-                    raise NoFactorRetainedError(
-                        "no eigenvalue reached the retention threshold "
-                        f"{config.kaiser_threshold:g} (largest was {values[0]:.6g})"
-                    )
+                n_factors = retained_count(values, config)
                 selection_eigenvalues = values[:n_factors].copy()
             retained = values[:n_factors]
             loadings = vectors[:, :n_factors] * np.sqrt(np.maximum(retained, 0.0))

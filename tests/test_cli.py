@@ -3,6 +3,7 @@ import collections
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -26,6 +27,7 @@ import sitefactors
 from sitefactors import cli, engine, errors
 from sitefactors.cli import main
 from sitefactors.config import DEFAULTS, KEYS, Owned, RunConfig
+from test_datamodel import BASE_CSV
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "small4x6.csv")
 
@@ -69,6 +71,16 @@ class TestDescribe:
         assert code == 2
         assert "ParseError" in capsys.readouterr().err
 
+    def test_describe_does_not_hash_its_input(self, tmp_path, monkeypatch):
+        # stats.csv records no digest, so describe skips the hash; fit does not
+        def sha256(data):
+            raise AssertionError("the input was hashed")
+
+        monkeypatch.setattr(sitefactors.datamodel, "sha256", sha256)
+        assert main(["describe", "--input", FIXTURE, "--out", str(tmp_path)]) == 0
+        with pytest.raises(AssertionError, match="the input was hashed"):
+            main(["fit", "--input", FIXTURE, "--out", str(tmp_path)])
+
     def test_quiet_suppresses_summary(self, tmp_path, capsys):
         code = main(["describe", "--input", FIXTURE, "--out", str(tmp_path), "--quiet"])
         assert code == 0
@@ -94,6 +106,17 @@ class TestDescribe:
 
 
 class TestFit:
+    def test_manifest_lists_the_load_warnings_first(self, tmp_path, capsys):
+        header, *body = BASE_CSV.splitlines()
+        body[-1] = "#" + body[-1]
+        data = tmp_path / "commented.csv"
+        data.write_text("\n".join([header, *body]) + "\n")
+        assert main(["fit", "--input", str(data), "--out", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["warnings"][0].startswith(f"{data}: skipped 1 comment line(s)")
+        assert [f"warning: {w}" for w in manifest["warnings"]] == err
+
     def test_writes_all_artifacts(self, tmp_path):
         code = main(["fit", "--input", FIXTURE, "--out", str(tmp_path)])
         assert code == 0
@@ -1072,6 +1095,30 @@ def test_runs_leave_numpy_ma_and_scipy_out(tmp_path, definition_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_runs_leave_openssl_out(tmp_path):
+    # the input's digest comes from CPython's builtin SHA-256; `synth` is not
+    # run here, as numpy.random loads OpenSSL through `secrets`
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("this Python has no builtin SHA-256 module")
+    assert main(["synth", "--out", str(tmp_path), "--quiet", "--synth.regions", "60"]) == 0
+    package_root = str(Path(sitefactors.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=package_root)
+    script = (
+        "import sys\n"
+        "from sitefactors.cli import main\n"
+        "data, out = sys.argv[1:]\n"
+        "codes = [main([command, '--input', data, '--out', out, '--quiet'])\n"
+        "         for command in ('describe', 'fit', 'score', 'sweep')]\n"
+        "loaded = [name for name in ('_hashlib', 'hashlib') if name in sys.modules]\n"
+        "sys.exit(f'exit codes {codes}, loaded {loaded}' if any(codes) or loaded else 0)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "synthetic.csv"), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 # OpenBLAS picks its kernels by CPU and its thread count at run time; the
 # artifacts must not depend on either
 BLAS_VARIANTS = [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}]
@@ -1117,8 +1164,8 @@ def test_the_fit_holds_the_standardized_copy_alone(
     standardized copy stays alive through the fit."""
     tables, alive, load = [], [], cli.load_table
 
-    def load_table(*args):
-        table = load(*args)
+    def load_table(*args, **kwargs):
+        table = load(*args, **kwargs)
         tables.append(weakref.ref(table))
         return table
 

@@ -1,8 +1,12 @@
 import csv
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from numpy.testing import assert_allclose
 
 import expected_small4x6 as frozen
 import oracle
+import sitefactors
 from sitefactors import (
     AttributeTable,
     DegenerateDataError,
@@ -111,6 +116,35 @@ class TestLoadTable:
         data = b"\xef\xbb\xbf" + BASE_CSV.encode("utf-8")
         path.write_bytes(data)
         assert load_table(path).digest == hashlib.sha256(data).hexdigest()
+        assert load_table(path, digest=False).digest is None
+
+    def test_digest_without_the_builtin_hashes(self, tmp_path):
+        # a build that ships neither builtin SHA-256 module digests through
+        # OpenSSL, to the same hex digest
+        pytest.importorskip("_hashlib")
+        inputs = {
+            "bom.csv": b"\xef\xbb\xbf" + BASE_CSV.encode("utf-8"),
+            "crlf.csv": BASE_CSV.replace("\n", "\r\n").encode("utf-8"),
+        }
+        for name, data in inputs.items():
+            (tmp_path / name).write_bytes(data)
+        script = (
+            "import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import hashlib\n"
+            "from sitefactors import datamodel, load_table\n"
+            "assert datamodel.sha256 is hashlib.sha256\n"
+            "for path in sys.argv[1:]:\n"
+            "    print(load_table(path).digest)\n"
+        )
+        package_root = str(Path(sitefactors.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script, *(str(tmp_path / name) for name in inputs)],
+            env=dict(os.environ, PYTHONPATH=package_root), capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        expected = [hashlib.sha256(data).hexdigest() for data in inputs.values()]
+        assert result.stdout.splitlines() == expected
 
     def test_quoted_input_reads_like_unquoted(self, tmp_path):
         header, *body = BASE_CSV.splitlines()

@@ -24,6 +24,7 @@ from sitefactors import (
     initial_communalities,
     paf_iterate,
     planted_loadings,
+    retained_count,
     scoring_weights,
     sign_canonicalize,
     standardize,
@@ -133,6 +134,13 @@ class TestInitialCommunalities:
 
 
 class TestPafIterate:
+    def test_retained_count_is_the_kaiser_count(self):
+        first = np.array([2.5, 1.0, 0.99, -0.2])
+        assert retained_count(first) == 2
+        assert retained_count(first, EngineConfig(kaiser_threshold=0.5)) == 3
+        with pytest.raises(NoFactorRetainedError, match=r"threshold 3 \(largest was 2\.5\)"):
+            retained_count(first, EngineConfig(kaiser_threshold=3.0))
+
     def test_identity_correlation_retains_nothing(self):
         corr = np.eye(5)
         with pytest.raises(NoFactorRetainedError):
