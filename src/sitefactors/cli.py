@@ -44,8 +44,8 @@ from .reports import (
 from .synth import SynthConfig, write_synth_csv
 
 # environment locations, not computation parameters: visible flags, and
-# left out of the manifest
-LOCATIONS = ("input", "out", "quiet")
+# left out of the manifest, which records the definition's content instead
+LOCATIONS = ("input", "out", "quiet", "composite.definition")
 VALUELESS = ("--quiet", "--help", "--version")
 
 
@@ -61,6 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="JSON config file of dotted keys")
         cmd.add_argument("--input", help="input CSV path")
         cmd.add_argument("--out", help="output directory")
+        cmd.add_argument("--composite.definition", metavar="PATH", help="definition JSON file")
         cmd.add_argument("--quiet", action="store_true", default=None)
         # short spellings write their key, so the later of two spellings wins
         if name == "score":
@@ -94,7 +95,7 @@ def _load(config: RunConfig, digest: bool = True):
     if not path:
         raise ParseError("no input file given (set --input or the 'input' key)")
     table = load_table(path, config.settings(IngestionConfig), digest=digest)
-    _warn(table.warnings)
+    _warn(f"{path}: {warning}" for warning in table.warnings)  # the manifest names no path
     _warn("missing value handled: " + line for line in table.provenance)
     artifacts = {"provenance.log": (write_provenance, table.provenance)}
     return table, artifacts if table.provenance else {}
@@ -114,7 +115,7 @@ def _manifest(config: RunConfig, table, model) -> dict:
     # the digest pins the input content, so reruns into any directory of the
     # same data and settings produce byte-identical artifacts; json sorts
     # the keys and writes the tuples as lists; the warnings are those of
-    # stderr, the table's before the model's
+    # stderr, the table's (there after the input's path) before the model's
     return {
         "config": {
             key: value for key, value in config.values.items() if key not in LOCATIONS
@@ -131,13 +132,15 @@ def _manifest(config: RunConfig, table, model) -> dict:
 def _scored(config: RunConfig):
     """Shared score stage: the fit's factor scores and the bound definition."""
     table, model, artifacts = _fit(config)
-    path = config["composite.definition"]
-    if path:
-        definition = load_definition(path, model.n_factors)
-    else:
-        definition = default_definition(model.n_factors)
+    path, n_factors = config["composite.definition"], model.n_factors
+    definition = load_definition(path, n_factors) if path else default_definition(n_factors)
     if config["composite.binary"]:
         definition = tuple(replace(a, sign=1) for a in definition)
+    # the definition applied, in the definition file's own format
+    artifacts["manifest.json"][1]["definition"] = {
+        label: {"dimension": a.dimension.value, "sign": a.sign}
+        for label, a in zip(model.factor_labels, definition)
+    }
     return factor_scores(model.scoring_weights, table), definition, artifacts
 
 

@@ -400,10 +400,10 @@ def load_table(
 
     A line whose first field starts with `#` is a comment anywhere in the
     file (the synthetic data generator documents its planted structure this
-    way). The table carries one warning for the comments after the header,
-    which may be rows whose region id starts with `#`. The first data row
-    must be the header `region_id,<attr>,...`, and no attribute name may be
-    empty. A leading UTF-8 byte-order mark, as
+    way). The table carries one warning, which names no path, for the
+    comments after the header, which may be rows whose region id starts with
+    `#`. The first data row must be the header `region_id,<attr>,...`, and
+    no attribute name may be empty. A leading UTF-8 byte-order mark, as
     spreadsheet exports write, is skipped. Errors name the line of the file.
     The table carries the SHA-256 of the file's bytes; with `digest=False`
     it carries None and the file is not hashed.
@@ -426,7 +426,7 @@ def load_table(
     warnings = ()
     if comments:
         warnings = (
-            f"{path}: skipped {len(comments)} comment line(s) after the header, "
+            f"skipped {len(comments)} comment line(s) after the header, "
             f"the first at line {comments[0]}; a row whose first field starts "
             "with # is a comment",
         )

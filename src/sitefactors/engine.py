@@ -1,9 +1,9 @@
 """Latent-factor extraction engine.
 
-Pipeline: correlation matrix R and the ridge decision -> squared-multiple-
-correlation start values from the one inverse of R, dropped at once ->
-iterated principal-axis factoring with Kaiser retention, in R's own buffer
--> varimax rotation -> regression scoring weights, solved against R.
+Pipeline: correlation matrix R, ridged once in place if need be -> squared-
+multiple-correlation start values from the one inverse of R, dropped at
+once -> iterated principal-axis factoring with Kaiser retention, in R's own
+buffer -> varimax rotation -> regression scoring weights, solved against R.
 :func:`fit_factor_model` chains the stages and returns a fully populated,
 sign-canonicalized model.
 """
@@ -132,17 +132,19 @@ class VarimaxResult:
 
 
 def correlation(a: AttributeTable) -> np.ndarray:
-    """Correlation of the raw attributes via the standardized table: N x N, C order."""
-    values = a.values
-    r = a.n_regions
-    corr = (values @ values.T) / (r - 1)
-    corr = (corr + corr.T) / 2.0
+    """Correlation of the raw attributes via the standardized table: N x N, C order.
+
+    One buffer, exactly symmetric: numpy forms A A' by `syrk`, mirroring a
+    triangle (a strided view would go through `gemm`, so it is copied)."""
+    values = np.ascontiguousarray(a.values)
+    corr = values @ values.T
+    corr /= a.n_regions - 1
     np.fill_diagonal(corr, 1.0)
     return corr
 
 
 def correlation_ridge(corr: np.ndarray, config: EngineConfig = EngineConfig()):
-    """The ridge the fit adds to the correlation diagonal: 0, or RIDGE_DELTA.
+    """The ridge the fit adds to R's diagonal, in place: 0, or RIDGE_DELTA.
 
     Returns (ridge, warnings). The 2-norm condition number of the symmetric
     R is max|eigenvalue| / min|eigenvalue|, from one `eigvalsh`. The ridge
@@ -167,18 +169,13 @@ def correlation_ridge(corr: np.ndarray, config: EngineConfig = EngineConfig()):
     return RIDGE_DELTA, (warning,)
 
 
-def _ridged(corr: np.ndarray, ridge: float) -> np.ndarray:
-    """R + ridge * I; R itself when the ridge is 0."""
-    return corr + ridge * np.eye(corr.shape[0]) if ridge else corr
-
-
-def initial_communalities(corr: np.ndarray, ridge: float = 0.0):
-    """Squared multiple correlations: 1 - 1/diag((R + ridge * I)^-1).
+def initial_communalities(corr: np.ndarray):
+    """Squared multiple correlations: 1 - 1/diag(R^-1), R ridged if need be.
 
     Returns (values, warnings), the values clamped into [0, 1]. The inverse
     is the fit's only one, and it is gone when this returns.
     """
-    values = 1.0 - 1.0 / np.diag(np.linalg.inv(_ridged(corr, ridge)))
+    values = 1.0 - 1.0 / np.diag(np.linalg.inv(corr))
     clamped = np.clip(values, 0.0, 1.0)
     warnings = ()
     if np.any(clamped != values):
@@ -198,25 +195,23 @@ def retained_count(first_eigenvalues: np.ndarray, config: EngineConfig = EngineC
     return n_factors
 
 
-def paf_iterate(
-    corr: np.ndarray, ridge: float = 0.0, config: EngineConfig = EngineConfig()
-) -> FactorModel:
+def paf_iterate(corr: np.ndarray, config: EngineConfig = EngineConfig()) -> FactorModel:
     """Iterated principal-axis extraction from squared-multiple-correlation starts.
 
-    The starts come from the inverse of `corr` plus `ridge` on its diagonal,
-    which is dropped before the first pass. Each pass writes
-    the current communality estimates onto the diagonal of `corr` itself
-    (borrowed, not copied, and given back bit-identical on return or raise),
-    eigendecomposes, rebuilds loadings from the retained eigenpairs (square
-    roots taken only for positive eigenvalues) and updates the communalities
-    as row sums of squared loadings. The retained factor count is fixed by
-    `retained_count` on the first pass and the loop stops when the total
-    absolute communality change drops below epsilon.
+    The starts come from the inverse of `corr`, ridged if need be, which is
+    dropped before the first pass. Each pass writes the current communality
+    estimates onto the diagonal of `corr` itself (borrowed, not copied, and
+    given back bit-identical on return or raise), eigendecomposes, rebuilds
+    loadings from the retained eigenpairs (square roots taken only for
+    positive eigenvalues) and updates the communalities as row sums of
+    squared loadings. The retained factor count is fixed by `retained_count`
+    on the first pass and the loop stops when the total absolute communality
+    change drops below epsilon.
     """
     # an integer buffer would truncate each diagonal written into it
     if corr.dtype != np.float64 or not corr.flags.writeable:
         raise TypeError("paf_iterate writes into corr: pass a writeable float64 array")
-    comm, start_warnings = initial_communalities(corr, ridge)
+    comm, start_warnings = initial_communalities(corr)
     diagonal = np.diag(corr).copy()
     trajectory: list[np.ndarray] = []
     heywood_hits: list[int] = []
@@ -382,13 +377,13 @@ def varimax(
     )
 
 
-def scoring_weights(corr: np.ndarray, rotated_loadings, ridge: float = 0.0) -> np.ndarray:
+def scoring_weights(corr: np.ndarray, rotated_loadings) -> np.ndarray:
     """Regression-method scoring weights (L' R^-1 L)^-1 L' R^-1, a left
-    inverse of the loadings L, with R the correlation plus `ridge` on its
-    diagonal. X = R^-1 L comes from a solve against R, no inverse, and the
-    weights from a second solve: (X' L)^-1 X'."""
+    inverse of the loadings L, with R the correlation, ridged if need be.
+    X = R^-1 L comes from a solve against R, no inverse, and the weights
+    from a second solve: (X' L)^-1 X'."""
     loadings = np.asarray(rotated_loadings, dtype=float)
-    projected = np.linalg.solve(_ridged(corr, ridge), loadings).T
+    projected = np.linalg.solve(corr, loadings).T
     return np.linalg.solve(projected @ loadings, projected)
 
 
@@ -446,15 +441,16 @@ def fit_factor_model(
 ) -> FactorModel:
     """Full extraction chain on a standardized table.
 
-    Runs correlation -> the ridge decision -> start communalities ->
-    principal-axis iteration -> varimax -> scoring weights, then
-    sign-canonicalizes and assigns each attribute its dominant factor. The returned model carries
-    the attribute names and all accumulated warnings, the ridge note first
-    and the tie warnings last.
+    Runs correlation -> the ridge decision, added to R's diagonal -> start
+    communalities -> principal-axis iteration -> varimax -> scoring weights,
+    then sign-canonicalizes and assigns each attribute its dominant factor.
+    The returned model carries the attribute names and all accumulated
+    warnings, the ridge note first and the tie warnings last.
     """
     corr = correlation(a)
     ridge, ridge_warnings = correlation_ridge(corr, config)
-    model = paf_iterate(corr, ridge, config)
+    corr[np.diag_indices_from(corr)] += ridge
+    model = paf_iterate(corr, config)
     # the cap is read at call time, so it can be lowered module-wide
     rotated = varimax(
         model.unrotated_loadings,
@@ -468,7 +464,7 @@ def fit_factor_model(
             f"non_convergence: varimax sweep cap {VARIMAX_MAX_SWEEPS} "
             f"reached (last criterion change {history[-1] - history[-2]:.3e})",
         )
-    weights = scoring_weights(corr, rotated.loadings, ridge)
+    weights = scoring_weights(corr, rotated.loadings)
     loadings, rotation, weights = sign_canonicalize(
         rotated.loadings, rotated.rotation, weights
     )

@@ -107,11 +107,11 @@ def test_criterion_3_oracle_equivalence():
             corr, oracle.correlation_from_standardized(matrix.values), atol=1e-8
         )
 
-        ridge, _ = correlation_ridge(corr)
-        start, _ = initial_communalities(corr, ridge)
+        corr[np.diag_indices_from(corr)] += correlation_ridge(corr)[0]
+        start, _ = initial_communalities(corr)
         assert_allclose(start, oracle.smc(corr), atol=1e-8)
 
-        model = paf_iterate(corr, ridge)
+        model = paf_iterate(corr)
         reference = oracle.paf_trajectory(corr, start)
         assert model.n_factors == reference["m"] == 2
         assert len(model.trajectory) == len(reference["steps"])
@@ -129,7 +129,7 @@ def test_criterion_3_oracle_equivalence():
         grid_best, _ = oracle.varimax_grid_m2(model.unrotated_loadings, step=1e-4)
         assert abs(achieved - grid_best) < 1e-6
 
-        weights = scoring_weights(corr, rotated.loadings, ridge)
+        weights = scoring_weights(corr, rotated.loadings)
         assert_allclose(
             weights,
             oracle.regression_weights(corr, rotated.loadings),
@@ -210,11 +210,11 @@ def test_criterion_4_invariant_suite():
         # pipeline invariants on factor-structured data
         for matrix in pipeline_instances(100):
             corr = correlation(matrix)
-            ridge, _ = correlation_ridge(corr)
-            start, _ = initial_communalities(corr, ridge)
-            model = paf_iterate(corr, ridge)
+            corr[np.diag_indices_from(corr)] += correlation_ridge(corr)[0]
+            start, _ = initial_communalities(corr)
+            model = paf_iterate(corr)
             rotated = varimax(model.unrotated_loadings)
-            weights = scoring_weights(corr, rotated.loadings, ridge)
+            weights = scoring_weights(corr, rotated.loadings)
             product = weights @ rotated.loadings
             assert np.abs(product - np.eye(model.n_factors)).max() < 1e-8
             scores = weights @ matrix.values

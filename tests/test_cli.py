@@ -114,8 +114,23 @@ class TestFit:
         assert main(["fit", "--input", str(data), "--out", str(tmp_path / "out")]) == 0
         err = capsys.readouterr().err.splitlines()
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["warnings"][0].startswith(f"{data}: skipped 1 comment line(s)")
-        assert [f"warning: {w}" for w in manifest["warnings"]] == err
+        first, *others = manifest["warnings"]
+        assert first.startswith("skipped 1 comment line(s)")
+        assert [f"warning: {data}: {first}", *(f"warning: {w}" for w in others)] == err
+
+    def test_manifest_names_no_input_path(self, tmp_path):
+        # one commented input read from two paths gives one manifest
+        header, *body = BASE_CSV.splitlines()
+        body[-1] = "#" + body[-1]
+        manifests = []
+        for data in (tmp_path / "one.csv", tmp_path / "elsewhere" / "two.csv"):
+            data.parent.mkdir(exist_ok=True)
+            data.write_text("\n".join([header, *body]) + "\n")
+            out = data.parent / f"{data.stem}-out"
+            assert main(["fit", "--input", str(data), "--out", str(out), "--quiet"]) == 0
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert b"comment line" in manifests[0]
 
     def test_writes_all_artifacts(self, tmp_path):
         code = main(["fit", "--input", FIXTURE, "--out", str(tmp_path)])
@@ -531,8 +546,8 @@ class TestConfigPrecedence:
         assert config["sweep.thetas"] == [1.0, 2.5]
 
 
-# The computation settings a run records; `input`, `out` and `quiet` are where
-# it runs, not what it computes.
+# The computation settings a run records; `input`, `out`, `quiet` and
+# `composite.definition` are where it runs, not what it computes.
 MANIFEST_KEYS = [
     "data.missing_policy",
     "engine.epsilon",
@@ -540,7 +555,6 @@ MANIFEST_KEYS = [
     "engine.kaiser_threshold",
     "engine.ridge_fallback",
     "engine.varimax_tolerance",
-    "composite.definition",
     "composite.binary",
     "composite.balance_band",
     "composite.bias_band",
@@ -644,7 +658,31 @@ class TestKeyTable:
         assert main(["fit", "--input", FIXTURE, "--out", str(tmp_path), "--quiet"]) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert list(manifest["config"]) == sorted(MANIFEST_KEYS)
-        assert sorted(KEYS) == sorted([*MANIFEST_KEYS, "input", "out", "quiet"])
+        assert sorted(KEYS) == sorted(
+            [*MANIFEST_KEYS, "input", "out", "quiet", "composite.definition"]
+        )
+
+    @pytest.mark.parametrize("command", ["score", "sweep"])
+    def test_manifest_records_the_definition_not_its_path(self, tmp_path, command):
+        def manifest(name, definition, *flags):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(definition))
+            out = tmp_path / f"{name}-out"
+            argv = [command, "--input", FIXTURE, "--out", str(out), "--quiet"]
+            assert main([*argv, "--composite.definition", str(path), *flags]) == 0
+            return (out / "manifest.json").read_bytes()
+
+        # one definition at two paths: one manifest, which holds the definition
+        first = manifest("first", TWO_FACTOR_DEFINITION)
+        assert manifest("second", TWO_FACTOR_DEFINITION) == first
+        assert json.loads(first)["definition"] == TWO_FACTOR_DEFINITION
+        # an edited definition: another manifest; a binary run records sign 1
+        edited = {**TWO_FACTOR_DEFINITION, "factor_2": {"dimension": "suitability", "sign": -1}}
+        assert json.loads(manifest("edited", edited))["definition"] == edited
+        binary = manifest("binary", edited, "--composite.binary", "true")
+        assert json.loads(binary)["definition"]["factor_2"] == {
+            "dimension": "suitability", "sign": 1,
+        }
 
     def test_every_settings_field_is_exactly_one_key(self):
         # a field no key names could only be set from the library

@@ -186,7 +186,7 @@ class TestLoadTable:
         assert table.region_ids == ("r1", "r2", "r3", "r4")
         # and it is not skipped without a word, on either parse path
         assert table.warnings == (
-            f"{path}: skipped 1 comment line(s) after the header, the first at "
+            "skipped 1 comment line(s) after the header, the first at "
             "line 6; a row whose first field starts with # is a comment",
         )
 

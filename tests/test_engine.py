@@ -43,15 +43,23 @@ BLOCK_CORR = np.array(
 )
 
 
+def add_ridge(corr, config=EngineConfig()):
+    """The fit's ridge decision, added to R's diagonal in place; its warnings."""
+    ridge, warnings = correlation_ridge(corr, config)
+    corr[np.diag_indices_from(corr)] += ridge
+    return warnings
+
+
 def smc(corr, config=EngineConfig()):
     """Start communalities after the fit's ridge decision, with every warning."""
-    ridge, warnings = correlation_ridge(corr, config)
-    start, heywood = initial_communalities(corr, ridge)
+    warnings = add_ridge(corr, config)
+    start, heywood = initial_communalities(corr)
     return start, warnings + heywood
 
 
 def paf(corr, config=EngineConfig()):
-    return paf_iterate(corr, correlation_ridge(corr, config)[0], config)
+    add_ridge(corr, config)
+    return paf_iterate(corr, config)
 
 
 def count_linalg(monkeypatch, *names):
@@ -66,6 +74,14 @@ def count_linalg(monkeypatch, *names):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+def wide_plant(noise_std):
+    """The benchmark's `wide` shape: 500 regions, 420 attributes, 70 factors."""
+    config = SynthConfig(
+        seed=42, n_attributes=420, n_regions=500, n_factors=70, noise_std=noise_std
+    )
+    return generate(config)[0]
 
 
 def as_std(values, prefix="r"):
@@ -98,9 +114,21 @@ class TestCorrelation:
 
     def test_invariants(self, matrix):
         corr = correlation(matrix)
-        assert np.abs(corr - corr.T).max() < 1e-12
+        assert np.array_equal(corr, corr.T)
         assert_allclose(np.diag(corr), 1.0, atol=0)
         assert np.abs(corr).max() <= 1.0 + 1e-12
+
+    def test_one_n_by_n_buffer_at_the_wide_benchmark_shape(self):
+        # the product, scaled in place: no second N x N array beside it
+        matrix = standardize(wide_plant(noise_std=0.6))
+        n = matrix.n_attributes
+        tracemalloc.start()
+        try:
+            correlation(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * n * n * 8
 
 
 class TestInitialCommunalities:
@@ -497,10 +525,7 @@ class TestFitFactorModel:
     def test_peak_memory_at_the_wide_benchmark_shape(self):
         # R and the eigh buffers with no N x N inverse beside them: about
         # 2.5 N^2 doubles at peak; an inverse held through the passes adds N^2
-        table, _ = generate(
-            SynthConfig(seed=42, n_attributes=420, n_regions=500, n_factors=70)
-        )
-        matrix = standardize(table)
+        matrix = standardize(wide_plant(noise_std=0.6))
         n = matrix.n_attributes
         tracemalloc.start()
         try:
@@ -509,6 +534,22 @@ class TestFitFactorModel:
         finally:
             tracemalloc.stop()
         assert peak < 2.75 * n * n * 8
+
+    def test_ridge_fit_peak_at_a_noiseless_wide_plant(self):
+        # the ridge goes onto R's own diagonal: no ridged copy of R, about
+        # 2.27 N^2 doubles at peak against 3.0 with one
+        matrix = standardize(wide_plant(noise_std=0.0))
+        n = matrix.n_attributes
+        tracemalloc.start()
+        try:
+            model = fit_factor_model(
+                matrix, EngineConfig(kaiser_threshold=2.0, ridge_fallback=True)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.warnings[0].startswith("ridge:")
+        assert peak < 2.3 * n * n * 8
 
     def test_deterministic(self, matrix):
         first = fit_factor_model(matrix)
@@ -606,6 +647,26 @@ class TestSyntheticRecovery:
             correlation(matrix), model.rotated_loadings, engine.RIDGE_DELTA
         )
         assert_allclose(model.scoring_weights, expected, rtol=0, atol=1e-8)
+
+    def test_ridge_fit_is_the_staged_flow_with_the_ridge_added_by_hand(self):
+        config = EngineConfig(ridge_fallback=True)
+        table, _ = generate(
+            SynthConfig(
+                seed=3, n_attributes=8, n_regions=120, n_factors=2,
+                loading=0.8, noise_std=0.0,
+            )
+        )
+        matrix = standardize(table)
+        model = fit_factor_model(matrix, config)
+        corr = correlation(matrix)
+        ridge, _ = correlation_ridge(corr, config)
+        assert ridge == engine.RIDGE_DELTA
+        corr[np.diag_indices_from(corr)] += ridge
+        rotated = varimax(paf_iterate(corr, config).unrotated_loadings)
+        weights = scoring_weights(corr, rotated.loadings)
+        loadings, _, weights = sign_canonicalize(rotated.loadings, rotated.rotation, weights)
+        assert np.array_equal(loadings, model.rotated_loadings)
+        assert np.array_equal(weights, model.scoring_weights)
 
     def test_noiseless_plant_errors_without_ridge(self):
         config = SynthConfig(
