@@ -183,7 +183,7 @@ def cmd_score(config: RunConfig):
 def cmd_sweep(config: RunConfig):
     scores, definition, artifacts = _scored(config)
     composites = composite_scores(scores, definition)
-    k = min(config["sweep.top_k"], len(composites.region_ids))
+    k = min(config["sweep.top_k"], composites.n_regions)
     grid = sweep(composites, config.alphas(), config["sweep.thetas"], k)
     artifacts["sweep_wide.csv"] = (write_sweep_wide_csv, grid)
     artifacts["sweep_long.csv"] = (write_sweep_long_csv, grid)
@@ -192,7 +192,7 @@ def cmd_sweep(config: RunConfig):
         artifacts[name] = (write_top_csv, ranking, "v_score")
     summary = (
         f"sweep grid {len(grid.thetas)}x{len(grid.alphas)} over "
-        f"{grid.n_regions} regions"
+        f"{composites.n_regions} regions"
     )
     return artifacts, summary
 

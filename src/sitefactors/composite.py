@@ -122,6 +122,10 @@ class CompositeScores:
     suitability: np.ndarray
     attractiveness: np.ndarray
 
+    @property
+    def n_regions(self) -> int:
+        return len(self.region_ids)
+
 
 @dataclass(frozen=True)
 class TypologyConfig:
@@ -140,20 +144,13 @@ class TypologyConfig:
 
 
 @dataclass(frozen=True)
-class RegionScores:
-    """The assembled per-region score table at a fixed weighting alpha."""
+class RegionScores(CompositeScores):
+    """The composites with the columns that follow from a weighting alpha."""
 
-    region_ids: tuple[str, ...]
     factor_scores: np.ndarray  # M x R
-    suitability: np.ndarray
-    attractiveness: np.ndarray
     v_scores: np.ndarray
     quadrants: tuple[Quadrant, ...]
     typologies: tuple[Typology, ...]
-
-    @property
-    def n_regions(self) -> int:
-        return len(self.region_ids)
 
 
 def composite_scores(
@@ -242,14 +239,11 @@ def score_regions(
 ) -> RegionScores:
     """Assemble the full per-region table at a given alpha."""
     composites = composite_scores(scores, definition)
-    v = v_score(composites.suitability, composites.attractiveness, alpha)
     quadrants, typologies = quadrant_classify(composites, typology_config)
     return RegionScores(
-        region_ids=scores.region_ids,
+        **vars(composites),
         factor_scores=scores.values,
-        suitability=composites.suitability,
-        attractiveness=composites.attractiveness,
-        v_scores=v,
+        v_scores=v_score(composites.suitability, composites.attractiveness, alpha),
         quadrants=quadrants,
         typologies=typologies,
     )
@@ -267,14 +261,15 @@ class SweepGrid:
     thetas: tuple[float, ...]
     counts: np.ndarray
     percentages: np.ndarray
-    n_regions: int
     rankings: tuple[list, ...] = ()
 
     def __post_init__(self):
         for name, grid in (("alphas", self.alphas), ("thetas", self.thetas)):
-            # written so that a NaN, which compares false, fails it
-            if not all(a < b for a, b in zip(grid, grid[1:])):
-                raise SchemaError(f"sweep {name} must be strictly ascending")
+            # every comparison with a NaN is false: a pair holding one is not
+            # ascending, and a lone NaN is not equal to itself
+            ascending = all(a < b for a, b in zip(grid, grid[1:]))
+            if not (grid and grid[0] == grid[0] and ascending):
+                raise SchemaError(f"sweep {name} must be non-empty and strictly ascending")
 
 
 def sweep(scores: CompositeScores, alphas, thetas, k: int | None = None) -> SweepGrid:
@@ -282,12 +277,10 @@ def sweep(scores: CompositeScores, alphas, thetas, k: int | None = None) -> Swee
 
     Given k, each alpha's v-scores are also ranked by `top_k`, so the
     counts and the rankings come from one v-score vector per alpha.
+    `SweepGrid` refuses an empty or unordered grid.
     """
     alphas = [float(a) for a in alphas]
     thetas = [float(t) for t in thetas]
-    if not alphas or not thetas:
-        raise KRangeError("sweep needs non-empty alpha and theta grids")
-    n_regions = len(scores.region_ids)
     counts = np.zeros((len(thetas), len(alphas)), dtype=int)
     theta_column = np.array(thetas)[:, None]
     rankings = []
@@ -300,8 +293,7 @@ def sweep(scores: CompositeScores, alphas, thetas, k: int | None = None) -> Swee
         alphas=tuple(alphas),
         thetas=tuple(thetas),
         counts=counts,
-        percentages=counts / n_regions * 100.0,
-        n_regions=n_regions,
+        percentages=counts / scores.n_regions * 100.0,
         rankings=tuple(rankings),
     )
 

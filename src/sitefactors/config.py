@@ -27,7 +27,7 @@ def _parse_bool(text):
         return True
     if lowered in ("false", "0", "no", "off"):
         return False
-    raise SchemaError(f"expected a boolean, got {text!r}")
+    raise ValueError("expected a boolean")
 
 
 def _parse_floats(text):
@@ -36,7 +36,7 @@ def _parse_floats(text):
     try:
         return tuple(read_number(str(part)) for part in parts if str(part).strip())
     except ValueError as exc:
-        raise SchemaError(f"expected comma-separated numbers, got {text!r}") from exc
+        raise ValueError("expected comma-separated numbers") from exc
 
 
 class Owned(NamedTuple):
@@ -134,10 +134,12 @@ class RunConfig:
                 if isinstance(value, dict) or (listed and not takes_list):
                     raise SchemaError(f"bad value for {key!r}: {value!r}")
                 text = value if listed else str(value)
+                # each parser raises ValueError with the detail, and this
+                # one message names the key
                 try:
                     merged[key] = _parser(DEFAULTS[key])(text)
                 except (TypeError, ValueError) as exc:
-                    raise SchemaError(f"bad value for {key!r}: {value!r}") from exc
+                    raise SchemaError(f"bad value for {key!r}: {value!r} ({exc})") from exc
         config = cls(values=merged)
         config.validate()
         return config

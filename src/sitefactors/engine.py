@@ -117,10 +117,6 @@ class FactorScores:
     def n_factors(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n_regions(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class VarimaxResult:

@@ -493,6 +493,9 @@ class TestConfigPrecedence:
             ("engine.epsilon", "1_0e-5", "'engine.epsilon'"),
             ("sweep.thetas", "1_0,2", "expected comma-separated numbers"),
             ("sweep.thetas", ["1_0", 2], "expected comma-separated numbers"),
+            # every parser's refusal names the key and keeps its detail
+            ("composite.binary", "maybe", "'composite.binary': 'maybe' (expected a boolean)"),
+            ("sweep.thetas", "a,b", "'sweep.thetas': 'a,b' (expected comma-separated numbers)"),
         ],
     )
     def test_file_values_follow_the_flag_rules(self, tmp_path, capsys, key, value, message):
@@ -892,6 +895,90 @@ class TestErrorContract:
         ])
         assert "sweep.thetas must be finite" in self.assert_one_error(capsys, code, 2)
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, files, expected_code, expected_err",
+        [
+            (["fit"], {}, 2, "ParseError: no input file given (set --input or the 'input' key)"),
+            (
+                ["sweep", "--input", FIXTURE, "--sweep.alpha_start", "-0.5"],
+                {},
+                5,
+                "AlphaRangeError: alpha grid [-0.5, 1.0] must sit inside [0, 1]",
+            ),
+            (
+                ["sweep", "--input", FIXTURE, "--sweep.thetas", ""],
+                {},
+                2,
+                "SchemaError: sweep.thetas must not be empty",
+            ),
+            (
+                ["fit", "--input", FIXTURE, "--config", "file.json"],
+                {"file.json": "[]"},
+                2,
+                "SchemaError: file.json: config must be a JSON object",
+            ),
+            (
+                ["score", "--input", FIXTURE, "--composite.definition", "file.json"],
+                {"file.json": "{}"},
+                2,
+                "SchemaError: file.json: expected a non-empty JSON object",
+            ),
+            (
+                ["score", "--input", FIXTURE, "--composite.definition", "file.json"],
+                {"file.json": '{"factor_1": {}}'},
+                2,
+                "SchemaError: file.json: entry 'factor_1' needs 'dimension' and 'sign'",
+            ),
+            (
+                ["describe", "--input", "file.csv"],
+                {"file.csv": "region_id\nr1\nr2\n"},
+                2,
+                "ParseError: file.csv: no attribute columns",
+            ),
+            (
+                ["synth", "--synth.factors", "30", "--synth.attributes", "25"],
+                {},
+                2,
+                "SchemaError: synth.attributes must be at least max(2, synth.factors) = 30, "
+                "got 25",
+            ),
+            (
+                ["synth", "--synth.loading", "inf"],
+                {},
+                2,
+                "SchemaError: synth.loading must be finite, got inf",
+            ),
+        ],
+        ids=[
+            "no-input", "negative-alpha-start", "empty-thetas", "config-list",
+            "empty-definition", "definition-entry-without-fields", "no-attribute-column",
+            "more-factors-than-attributes", "infinite-loading",
+        ],
+    )
+    def test_refusal_is_one_error_line(
+        self, tmp_path, capsys, monkeypatch, argv, files, expected_code, expected_err
+    ):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            Path(name).write_text(text)
+        code = main([*argv, "--out", "out"])
+        err = self.assert_one_error(capsys, code, expected_code)
+        assert err == f"error: {expected_err}\n"
+        assert not Path("out").exists()
+
+    def test_kurtosis_floor_warns_once_per_attribute(self, tmp_path, capsys):
+        path = tmp_path / "small.csv"
+        path.write_text("region_id,a,b\nr1,1,2\nr2,2,1\nr3,3,5\n")
+        code = main(["describe", "--input", str(path), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == "N=2 R=3\n"
+        assert captured.err.splitlines() == [
+            f"warning: moment: attribute {name!r} needs >=4 regions for kurtosis"
+            for name in "ab"
+        ]
+        assert (tmp_path / "out" / "stats.csv").exists()
 
     def test_nonpositive_kaiser_threshold_exits_2(self, tmp_path, capsys):
         code = main([

@@ -390,6 +390,32 @@ class TestSweep:
         with pytest.raises(SchemaError):
             sweep(composites, [0.2, 0.5], [2.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "alphas, thetas",
+        [([0.5], [np.nan]), ([], [1.0]), ([0.5], []), ([], [])],
+        ids=["lone-nan-theta", "no-alpha", "no-theta", "neither"],
+    )
+    def test_empty_or_lone_nan_grid_rejected(self, alphas, thetas):
+        composites = CompositeScores(
+            region_ids=("a",),
+            suitability=np.array([1.0]),
+            attractiveness=np.array([1.0]),
+        )
+        with pytest.raises(SchemaError, match="non-empty and strictly ascending"):
+            sweep(composites, alphas, thetas)
+
+    def test_region_scores_are_composites(self, fixture_scores, fixture_definition):
+        regions = score_regions(fixture_scores, fixture_definition, 0.5)
+        composites = composite_scores(fixture_scores, fixture_definition)
+        assert isinstance(regions, CompositeScores)
+        assert regions.n_regions == composites.n_regions == len(frozen.QUADRANTS)
+        assert quadrant_classify(regions) == (regions.quadrants, regions.typologies)
+        on_regions = sweep(regions, frozen.SWEEP_ALPHAS, frozen.SWEEP_THETAS, k=3)
+        on_composites = sweep(composites, frozen.SWEEP_ALPHAS, frozen.SWEEP_THETAS, k=3)
+        assert np.array_equal(on_regions.counts, on_composites.counts)
+        assert np.array_equal(on_regions.percentages, on_composites.percentages)
+        assert on_regions.rankings == on_composites.rankings
+
 
 class TestTopK:
     def build(self, suit, attr, alpha=0.5):

@@ -273,7 +273,7 @@ def edge_grid():
     alphas = (0.0, 0.2, 0.5, 1.0)
     counts = np.arange(len(thetas) * len(alphas)).reshape(len(thetas), -1) * 1001
     percentages = np.resize(CELLS, counts.shape)
-    return SweepGrid(alphas, thetas, counts, percentages, n_regions=len(IDS))
+    return SweepGrid(alphas, thetas, counts, percentages)
 
 
 def test_sweep_wide_csv_matches_per_cell_rendering(tmp_path, edge_grid):
