@@ -197,16 +197,6 @@ def _parse_cell(text: str) -> float:
     return value if math.isfinite(value) else MISSING
 
 
-def _read(path: Path, digest: bool) -> tuple[str, str | None]:
-    """The decoded text of the file and, if `digest`, the SHA-256 of its bytes."""
-    try:
-        data = path.read_bytes()
-        text = data.decode("utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    return text, sha256(data).hexdigest() if digest else None
-
-
 def read_json_object(path: Path, what: str):
     """The JSON of the `what` file at `path`; a key repeated in any of its
     objects, which `json` would drop without a word, is a SchemaError."""
@@ -224,21 +214,6 @@ def read_json_object(path: Path, what: str):
         return json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except (OSError, ValueError, RecursionError) as exc:
         raise SchemaError(f"cannot read {what} {path}: {exc}") from exc
-
-
-def _lines(path: Path, digest: bool):
-    """The lines of the file, whether numpy's C parser may read them, and, if
-    `digest`, the SHA-256 of its bytes.
-
-    A text with a `CELL_PATH_MARKS` character is matched line by line with
-    `CSV_LINE`, and the matches keep it alive. Any other text is split by
-    `str.splitlines`, which ends its lines where `csv` does, and goes when
-    this returns.
-    """
-    text, digest = _read(path, digest)
-    if any(mark in text for mark in CELL_PATH_MARKS):
-        return (line.group() for line in CSV_LINE.finditer(text)), False, digest
-    return text.splitlines(), True, digest
 
 
 def _csv_rows(path, lines, comments: list[int]):
@@ -359,40 +334,6 @@ def _parse_cells(path, rows, attribute_names, schema: IngestionConfig):
     return region_ids, values, provenance
 
 
-def _parse(path: Path, schema: IngestionConfig, digest: bool):
-    """Attribute names, region ids, R x N matrix, provenance, digest and the
-    lines of the comments after the header of the file; its text and lines
-    go when this returns."""
-    lines, clean, digest = _lines(path, digest)
-    comments: list[int] = []
-    rows = _csv_rows(path, lines, comments)
-    header_line, header = next(rows, (0, None))
-    if header is None:
-        raise ParseError(f"{path}: no rows found")
-    comments.clear()  # notes above the header, as `synth` writes, are expected
-    header = [cell.strip() for cell in header]
-    if header[0] != "region_id":
-        raise SchemaError(f"{path}: first column must be 'region_id', got {header[0]!r}")
-    attribute_names = tuple(header[1:])
-    if not attribute_names:
-        raise ParseError(f"{path}: no attribute columns")
-    if "" in attribute_names:
-        column = attribute_names.index("") + 2
-        raise SchemaError(f"{path}: line {header_line}: column {column} has no attribute name")
-    if len(set(attribute_names)) != len(attribute_names):
-        raise SchemaError(
-            f"{path}: duplicate attribute columns {_duplicates(attribute_names)}"
-        )
-    # a clean attempt that fails leaves `rows` just past the header
-    parsed = (
-        _parse_clean(lines, header_line, len(attribute_names), comments) if clean else None
-    )
-    region_ids, values, provenance = parsed or (
-        _parse_cells(path, rows, attribute_names, schema)
-    )
-    return attribute_names, region_ids, values, provenance, digest, comments
-
-
 def load_table(
     path, schema: IngestionConfig = IngestionConfig(), *, digest: bool = True
 ) -> AttributeTable:
@@ -408,16 +349,51 @@ def load_table(
     The table carries the SHA-256 of the file's bytes; with `digest=False`
     it carries None and the file is not hashed.
 
-    Lines end at CR, LF or CRLF, as `csv` ends them. A file without a
-    `CELL_PATH_MARKS` character whose every body cell parses is read by
-    numpy's C parser; any other file, and so every error and every
-    missing-value intervention, goes through `csv` and `_parse_cell`.
+    Lines end at CR, LF or CRLF, as `csv` ends them. A text with a
+    `CELL_PATH_MARKS` character is matched line by line with `CSV_LINE`, and
+    the matches keep it alive; any other text is split by `str.splitlines`,
+    which ends its lines where `csv` does, and goes once it is split. A file
+    without such a character whose every body cell parses is read by numpy's
+    C parser; any other file, and so every error and every missing-value
+    intervention, goes through `csv` and `_parse_cell`.
     """
     path = Path(path)
-    attribute_names, region_ids, values, provenance, digest, comments = _parse(
-        path, schema, digest
-    )
+    try:
+        data = path.read_bytes()
+        text = data.decode("utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    digest = sha256(data).hexdigest() if digest else None
+    del data  # not held beside the lines
+    clean = not any(mark in text for mark in CELL_PATH_MARKS)
+    lines = text.splitlines() if clean else (m.group() for m in CSV_LINE.finditer(text))
+    del text
+    comments: list[int] = []
+    rows = _csv_rows(path, lines, comments)
+    header_line, header = next(rows, (0, None))
+    if header is None:
+        raise ParseError(f"{path}: no rows found")
+    comments.clear()  # notes above the header, as `synth` writes, are expected
+    header = [cell.strip() for cell in header]
+    if header[0] != "region_id":
+        raise SchemaError(f"{path}: first column must be 'region_id', got {header[0]!r}")
+    attribute_names = tuple(header[1:])
     n = len(attribute_names)
+    if not n:
+        raise ParseError(f"{path}: no attribute columns")
+    if "" in attribute_names:
+        column = attribute_names.index("") + 2
+        raise SchemaError(f"{path}: line {header_line}: column {column} has no attribute name")
+    if len(set(attribute_names)) != n:
+        raise SchemaError(
+            f"{path}: duplicate attribute columns {_duplicates(attribute_names)}"
+        )
+    # a clean attempt that fails leaves `rows` just past the header
+    parsed = _parse_clean(lines, header_line, n, comments) if clean else None
+    region_ids, values, provenance = parsed or (
+        _parse_cells(path, rows, attribute_names, schema)
+    )
+    del lines, rows  # the row generator holds the lines too
     if len(region_ids) < n + 1:
         raise DegenerateDataError(
             f"{path}: {len(region_ids)} regions remain after ingestion, "

@@ -48,6 +48,42 @@ r5,5.5,3.0,3.5
 """
 
 
+@pytest.mark.parametrize(
+    "fields, error, message",
+    [
+        (
+            {"attribute_names": ("a", "b", "c")},
+            SchemaError,
+            "value matrix shape does not match the name lists",
+        ),
+        ({"attribute_names": ("a", "a")}, SchemaError, "duplicate attribute names"),
+        ({"region_ids": ("r1", "r1", "r3", "r4")}, SchemaError, "duplicate region ids"),
+        (
+            {"region_ids": ("r1", "r2"), "values": [[1.0, 2.0], [3.0, 5.0]]},
+            DegenerateDataError,
+            "need at least N+1=3 regions for 2 attributes, got 2",
+        ),
+        (
+            {"values": [[1.0, 2.0, 3.0, 4.0], [1.0, np.nan, 3.0, 5.0]]},
+            SchemaError,
+            "non-finite values after ingestion",
+        ),
+    ],
+    ids=["shape", "attribute-names", "region-ids", "too-few-regions", "non-finite"],
+)
+def test_table_refuses_what_load_table_refuses_first(fields, error, message):
+    # load_table refuses each of these with its own message before it builds
+    # a table; a table built directly must still refuse them
+    table = {
+        "attribute_names": ("a", "b"),
+        "region_ids": ("r1", "r2", "r3", "r4"),
+        "values": [[1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 5.0]],
+    }
+    with pytest.raises(error) as caught:
+        AttributeTable(**{**table, **fields})
+    assert str(caught.value) == message
+
+
 class TestLoadTable:
     def test_fixture_shape(self, table):
         assert table.n_attributes == 4

@@ -551,6 +551,26 @@ class TestFitFactorModel:
         assert model.warnings[0].startswith("ridge:")
         assert peak < 2.3 * n * n * 8
 
+    def test_ridge_pushes_an_orthogonal_attribute_below_zero(self):
+        # b = 2a + 1 makes R singular; c and d are orthogonal to every other
+        # attribute, so their squared multiple correlation under the ridge is
+        # 1 - (1 + 1e-8), about -1e-8, which the start values clamp to 0
+        a = np.arange(1.0, 7.0)
+        table = AttributeTable(
+            attribute_names=("a", "b", "c", "d"),
+            region_ids=tuple(f"r{j}" for j in range(6)),
+            values=[a, 2 * a + 1, [1, -2, 1, 1, -2, 1], [1, 0, -1, -1, 0, 1]],
+        )
+        matrix = standardize(table)
+        with pytest.raises(SingularCorrelationError):
+            fit_factor_model(matrix)
+        model = fit_factor_model(matrix, EngineConfig(ridge_fallback=True))
+        assert len(model.warnings) == 2
+        assert model.warnings[0].startswith(
+            "ridge: added 1.0e-08 to the correlation diagonal (condition number "
+        )
+        assert model.warnings[1] == "heywood: initial communalities clamped into [0, 1]"
+
     def test_deterministic(self, matrix):
         first = fit_factor_model(matrix)
         second = fit_factor_model(matrix)
