@@ -393,7 +393,7 @@ def load_table(
     region_ids, values, provenance = parsed or (
         _parse_cells(path, rows, attribute_names, schema)
     )
-    del lines, rows  # the row generator holds the lines too
+    del lines, rows, parsed  # the row generator holds the lines, `parsed` the matrix
     if len(region_ids) < n + 1:
         raise DegenerateDataError(
             f"{path}: {len(region_ids)} regions remain after ingestion, "
@@ -406,13 +406,15 @@ def load_table(
             f"the first at line {comments[0]}; a row whose first field starts "
             "with # is a comment",
         )
+    # C order: row means of a transposed view sum in another order and
+    # differ in the last bits. Copied here, once the text and its lines are
+    # gone, and the parsed matrix goes before the table builds its set of
+    # region ids, so no two of them are held together.
+    values = np.ascontiguousarray(values.T)
     return AttributeTable(
         attribute_names=attribute_names,
         region_ids=tuple(region_ids),
-        # C order: row means of a transposed view sum in another order and
-        # differ in the last bits. Copied here, once the text and its lines
-        # are gone, so the copy is never held beside them.
-        values=np.ascontiguousarray(values.T),
+        values=values,
         provenance=tuple(provenance),
         digest=digest,
         warnings=warnings,

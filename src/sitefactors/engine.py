@@ -3,7 +3,10 @@
 Pipeline: correlation matrix R, ridged once in place if need be -> squared-
 multiple-correlation start values from the one inverse of R, dropped at
 once -> iterated principal-axis factoring with Kaiser retention, in R's own
-buffer -> varimax rotation -> regression scoring weights, solved against R.
+buffer: a full eigendecomposition on the first pass, and on each later pass
+a Chebyshev-filtered subspace step on the last pass's retained eigenvectors,
+with a full eigendecomposition again wherever that step cannot vouch for its
+pairs -> varimax rotation -> regression scoring weights, solved against R.
 :func:`fit_factor_model` chains the stages and returns a fully populated,
 sign-canonicalized model.
 """
@@ -28,6 +31,15 @@ CONDITION_LIMIT = 1e12
 RIDGE_DELTA = 1e-8
 # Varimax stops after this many sweeps even if the criterion still improves.
 VARIMAX_MAX_SWEEPS = 100
+# A principal-axis pass after the first filters the last basis with a
+# Chebyshev polynomial of degree SUBSPACE_DEGREE, for SUBSPACE_ROUNDS rounds
+# at most, and keeps the Ritz pairs once their residuals and orthonormality
+# are within SUBSPACE_TOLERANCE of the matrix's norm and no two retained Ritz
+# values lie within RITZ_TIE of it; else the pass runs a full eigh.
+SUBSPACE_DEGREE = 12
+SUBSPACE_ROUNDS = 4
+SUBSPACE_TOLERANCE = 1e-14
+RITZ_TIE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -191,18 +203,87 @@ def retained_count(first_eigenvalues: np.ndarray, config: EngineConfig = EngineC
     return n_factors
 
 
+def _subspace_pairs(corr, diagonal, basis, anchor):
+    """The retained eigenpairs of `corr`, largest first, from a warm basis; or None.
+
+    `basis` holds the last pass's retained eigenvectors. `anchor` holds the
+    diagonal, the retained count's last eigenvalue, the next one, the lowest
+    one and the 2-norm of the last full eigh. Only the diagonal has moved
+    since, each entry by `low` to `high`, so by Weyl's bound every
+    unretained eigenvalue lies in [lower, upper], every retained one at or
+    above `kept + low` and none above `norm + high`. Each round damps that
+    interval with a Chebyshev polynomial (Zhou & Saad 2007), orthonormalizes
+    the block by SVQB (Stathopoulos & Wu 2002) and takes one Rayleigh-Ritz
+    step. None stands for no gap under the bound (or one too narrow for the
+    filter), no convergence, a collapsed Gram matrix or tied Ritz values.
+    """
+    anchor_diagonal, kept, dropped, lowest, norm = anchor
+    change = diagonal - anchor_diagonal
+    low, high = change.min(), change.max()
+    lower, upper = lowest + low, dropped + high
+    if not kept + low > upper > lower:
+        return None
+    centre, half = (upper + lower) / 2, (upper - lower) / 2
+    # the filter's gain at the top of the spectrum, cosh(d arccosh(t)), is
+    # kept below e^300 so that the block's Gram matrix stays finite
+    if SUBSPACE_DEGREE * np.arccosh((norm + high - centre) / half) > 300:
+        return None
+    for _ in range(SUBSPACE_ROUNDS):
+        # T_k((A - centre I) / half) applied to the basis by the three-term
+        # rule, the centre taken off A's diagonal in place; N x M blocks only
+        np.fill_diagonal(corr, diagonal - centre)
+        previous, block = basis, corr @ basis
+        block /= half
+        for _ in range(SUBSPACE_DEGREE - 1):
+            step = corr @ block
+            step *= 2.0 / half
+            step -= previous
+            previous, block = block, step
+        np.fill_diagonal(corr, diagonal)
+        del previous, step
+        gram = block.T @ block
+        scaling = 1.0 / np.sqrt(np.diag(gram))
+        spread, axes = np.linalg.eigh(gram * scaling * scaling[:, None])
+        if not spread[0] > SUBSPACE_TOLERANCE * spread[-1]:
+            return None
+        block *= scaling
+        frame = block @ (axes / np.sqrt(spread))
+        del block
+        image = corr @ frame
+        values, turn = np.linalg.eigh(frame.T @ image)
+        values, turn = values[::-1], turn[:, ::-1]
+        basis = frame @ turn
+        del frame
+        residual = image @ turn
+        del image
+        residual -= basis * values
+        if np.sum(residual**2, axis=0).max() <= (SUBSPACE_TOLERANCE * norm) ** 2:
+            break
+    else:
+        return None
+    drift = np.abs(basis.T @ basis - np.eye(len(values))).max()
+    gaps = values[:-1] - values[1:]
+    if drift > SUBSPACE_TOLERANCE or values[-1] <= upper or np.any(gaps <= RITZ_TIE * norm):
+        return None
+    return values, basis
+
+
 def paf_iterate(corr: np.ndarray, config: EngineConfig = EngineConfig()) -> FactorModel:
     """Iterated principal-axis extraction from squared-multiple-correlation starts.
 
     The starts come from the inverse of `corr`, ridged if need be, which is
     dropped before the first pass. Each pass writes the current communality
     estimates onto the diagonal of `corr` itself (borrowed, not copied, and
-    given back bit-identical on return or raise), eigendecomposes, rebuilds
-    loadings from the retained eigenpairs (square roots taken only for
+    given back bit-identical on return or raise), takes the retained
+    eigenpairs, rebuilds loadings from them (square roots taken only for
     positive eigenvalues) and updates the communalities as row sums of
-    squared loadings. The retained factor count is fixed by `retained_count`
-    on the first pass and the loop stops when the total absolute communality
-    change drops below epsilon.
+    squared loadings. The first pass runs a full `eigh`, which fixes the
+    retained count by `retained_count`, the selection eigenvalues and the
+    starting basis. Between passes only the diagonal changes, so a later
+    pass takes its pairs from `_subspace_pairs`, which filters the last
+    pass's basis; where that step returns None the pass runs a full `eigh`,
+    which also renews the step's bounds. The loop stops when the total
+    absolute communality change drops below epsilon.
     """
     # an integer buffer would truncate each diagonal written into it
     if corr.dtype != np.float64 or not corr.flags.writeable:
@@ -212,19 +293,27 @@ def paf_iterate(corr: np.ndarray, config: EngineConfig = EngineConfig()) -> Fact
     trajectory: list[np.ndarray] = []
     heywood_hits: list[int] = []
     worst_heywood = 1.0
+    anchor = None
 
     try:
         for iteration in range(1, config.max_iterations + 1):
             np.fill_diagonal(corr, comm)
-            values, vectors = np.linalg.eigh(corr)
-            values, vectors = values[::-1], vectors[:, ::-1]
-            if iteration == 1:
-                n_factors = retained_count(values, config)
-                selection_eigenvalues = values[:n_factors].copy()
-            retained = values[:n_factors]
-            loadings = vectors[:, :n_factors] * np.sqrt(np.maximum(retained, 0.0))
-            # freed now, the N x N matrix is not alive beside the next pass's eigh
-            del vectors
+            pairs = None if anchor is None else _subspace_pairs(corr, comm, vectors, anchor)
+            if pairs is None:
+                values, vectors = np.linalg.eigh(corr)
+                values, vectors = values[::-1], vectors[:, ::-1]
+                if iteration == 1:
+                    n_factors = retained_count(values, config)
+                    selection_eigenvalues = values[:n_factors].copy()
+                # with every factor retained no eigenvalue is left to damp
+                if n_factors < len(values):
+                    norm = max(values[0], -values[-1])
+                    anchor = (comm, values[n_factors - 1], values[n_factors], values[-1], norm)
+                # only the retained block is kept: the N x N matrix is not
+                # alive beside the next pass's solve
+                pairs = values[:n_factors], np.ascontiguousarray(vectors[:, :n_factors])
+            values, vectors = pairs
+            loadings = vectors * np.sqrt(np.maximum(values, 0.0))
             updated = np.sum(loadings**2, axis=1)
             if np.any(updated > 1.0):
                 heywood_hits.append(iteration)

@@ -190,6 +190,24 @@ class TestFit:
         for name in names:
             assert (fast / name).read_bytes() == (slow / name).read_bytes(), name
 
+    def test_wide_weight_beside_a_rounding_tie(self, tmp_path):
+        # attr_26 on factor_3 of the `wide` shape at seed 42 is
+        # -0.0176984999982, 1.8e-12 from a 6-decimal tie: eigenpairs that
+        # much less exact than a full eigh's print -0.017699
+        data, out = tmp_path / "data", tmp_path / "fit"
+        assert main([
+            "synth", "--out", str(data), "--quiet", "--synth.seed", "42",
+            "--synth.regions", "500", "--synth.attributes", "420",
+            "--synth.factors", "70",
+        ]) == 0
+        assert main([
+            "fit", "--input", str(data / "synthetic.csv"), "--out", str(out),
+            "--quiet", "--engine.kaiser_threshold", "2",
+        ]) == 0
+        header, rows = read_rows(out / "weights.csv")
+        row = next(row for row in rows if row[0] == "attr_26")
+        assert row[header.index("factor_3")] == "-0.017698"
+
     def test_no_factor_retained_exits_3(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         values = rng.normal(size=(40, 3))

@@ -43,6 +43,17 @@ BLOCK_CORR = np.array(
 )
 
 
+# two copies of one block: the retained eigenvalues tie exactly, while the
+# unretained ones and the communalities differ
+TWIN_BLOCKS = np.kron(
+    np.eye(2), np.array([[1.0, 0.8, 0.6], [0.8, 1.0, 0.7], [0.6, 0.7, 1.0]])
+)
+
+# BLOCK_CORR with one block's correlation 1e-12 higher: the damped interval
+# is about as narrow, and a filter set on it would overflow
+NEAR_BLOCKS = BLOCK_CORR + np.kron([[0.0, 0.0], [0.0, 1e-12]], [[0.0, 1.0], [1.0, 0.0]])
+
+
 def add_ridge(corr, config=EngineConfig()):
     """The fit's ridge decision, added to R's diagonal in place; its warnings."""
     ridge, warnings = correlation_ridge(corr, config)
@@ -74,6 +85,19 @@ def count_linalg(monkeypatch, *names):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+def eigh_sizes(monkeypatch):
+    """The order of each matrix `np.linalg.eigh` decomposes from now on."""
+    sizes = []
+    function = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return function(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return sizes
 
 
 def wide_plant(noise_std):
@@ -232,6 +256,45 @@ class TestPafIterate:
         for corr in (BLOCK_CORR.astype(int), read_only):
             with pytest.raises(TypeError, match="writeable float64"):
                 paf_iterate(corr)
+
+    def test_later_passes_take_the_subspace_step_at_the_wide_benchmark_shape(
+        self, monkeypatch
+    ):
+        # the first pass's full eigh fixes the count and the basis; each
+        # later round solves twice at order M (SVQB, then Rayleigh-Ritz)
+        matrix = standardize(wide_plant(noise_std=0.6))
+        sizes = eigh_sizes(monkeypatch)
+        model = fit_factor_model(matrix, EngineConfig(kaiser_threshold=2.0))
+        n, m = matrix.n_attributes, model.n_factors
+        assert (m, model.iterations_used) == (70, 13)
+        assert sizes[0] == n and sizes.count(n) == 1
+        assert set(sizes) == {n, m}
+        assert sizes.count(m) >= 2 * (model.iterations_used - 1)
+
+    @pytest.mark.parametrize(
+        "corr", [BLOCK_CORR, TWIN_BLOCKS, NEAR_BLOCKS], ids=["block", "twins", "near"]
+    )
+    def test_tied_pairs_take_the_full_eigh(self, corr, monkeypatch):
+        # two retained eigenvalues tie, so any basis of their plane is a
+        # Ritz basis: every pass solves at order N, and the columns stay
+        # those of the reference, not swapped or mixed. BLOCK_CORR's other
+        # eigenvalues tie too and its communalities move alike, so no
+        # interval is left to damp; the twins reach the tie rule, and the
+        # near blocks the bound on the filter's gain, with no overflow
+        start, _ = initial_communalities(corr)
+        reference = oracle.paf_trajectory(corr, start)
+        sizes = eigh_sizes(monkeypatch)
+        model = paf(corr.copy())
+        assert model.iterations_used == reference["iterations"] > 1
+        assert sizes.count(len(corr)) == model.iterations_used
+        for communalities, (_, theirs) in zip(model.trajectory, reference["steps"]):
+            assert_allclose(communalities, theirs, rtol=0, atol=1e-12)
+        assert_allclose(
+            oracle.canon_column_signs(model.unrotated_loadings),
+            oracle.canon_column_signs(reference["steps"][-1][0]),
+            rtol=0,
+            atol=1e-12,
+        )
 
     def test_communalities_stay_clamped(self, matrix):
         model = paf(correlation(matrix))

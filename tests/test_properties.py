@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -212,6 +212,44 @@ def test_varimax_matches_the_reference_at_the_wide_benchmark_shape():
     model = paf_iterate(corr, config)
     assert model.unrotated_loadings.shape == (420, 70)
     assert_matches_the_reference(model.unrotated_loadings)
+
+@st.composite
+def small_plants(draw):
+    """Correlations of `synth` plants of 4-24 attributes and 1-6 factors."""
+    n_attributes = draw(st.integers(4, 24))
+    config = SynthConfig(
+        seed=draw(st.integers(0, 2**31)),
+        n_attributes=n_attributes,
+        n_regions=draw(st.integers(4 * n_attributes, 300)),
+        n_factors=draw(st.integers(1, min(6, n_attributes))),
+        loading=draw(st.floats(0.4, 0.9)),
+        noise_std=draw(st.floats(0.3, 1.0)),
+    )
+    return correlation(standardize(generate(config)[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_plants())
+def test_paf_passes_match_the_full_solve_reference(corr):
+    # passes after the first take their pairs from a filtered basis, or
+    # fall back to a full eigh; either way every pass is the reference's.
+    # The cap bounds the drift of plants that do not converge, whose passes
+    # carry each difference on (about 5e-15 a pass)
+    start, _ = initial_communalities(corr)
+    reference = oracle.paf_trajectory(corr, start, max_iterations=50)
+    assume(reference["m"] > 0)
+    model = paf_iterate(corr, EngineConfig(max_iterations=50))
+    assert model.n_factors == reference["m"]
+    assert model.iterations_used == reference["iterations"]
+    for communalities, (_, theirs) in zip(model.trajectory, reference["steps"]):
+        assert_allclose(communalities, theirs, rtol=0, atol=1e-12)
+    assert_allclose(
+        oracle.canon_column_signs(model.unrotated_loadings),
+        oracle.canon_column_signs(reference["steps"][-1][0]),
+        rtol=0,
+        atol=1e-10,
+    )
+
 
 def pipeline_case(seed: int):
     """A factor-structured random dataset and its fitted model."""
