@@ -9,14 +9,14 @@ v-score over (alpha, theta) grids for site ranking.
 __version__ = "0.1.0"
 
 from .composite import (
+    DIMENSIONS,
+    QUADRANTS,
+    TYPOLOGIES,
     CompositeDefinition,
     CompositeScores,
-    Dimension,
     FactorAssignment,
-    Quadrant,
     RegionScores,
     SweepGrid,
-    Typology,
     TypologyConfig,
     composite_scores,
     default_definition,

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .composite import (
+    DIMENSIONS,
     TypologyConfig,
     composite_scores,
     default_definition,
@@ -138,7 +139,7 @@ def _scored(config: RunConfig):
         definition = tuple(replace(a, sign=1) for a in definition)
     # the definition applied, in the definition file's own format
     artifacts["manifest.json"][1]["definition"] = {
-        label: {"dimension": a.dimension.value, "sign": a.sign}
+        label: {"dimension": a.dimension, "sign": a.sign}
         for label, a in zip(model.factor_labels, definition)
     }
     return factor_scores(model.scoring_weights, table), definition, artifacts
@@ -174,7 +175,7 @@ def cmd_score(config: RunConfig):
     regions = score_regions(scores, definition, alpha, config.settings(TypologyConfig))
     artifacts["scores.csv"] = (write_scores_csv, regions)
     k = min(config["score.top_k"], regions.n_regions)
-    for key in ("suitability", "attractiveness"):
+    for key in DIMENSIONS:
         ranking = top_k(regions.region_ids, getattr(regions, key), k)
         artifacts[f"top_{key}.csv"] = (write_top_csv, ranking, key)
     return artifacts, f"scored {regions.n_regions} regions at alpha={alpha:g}"

@@ -1,8 +1,12 @@
-"""Signed composites, v-scores, quadrant typologies and sensitivity sweeps."""
+"""Signed composites, v-scores, quadrant typologies and sensitivity sweeps.
+
+Dimensions, quadrants and typologies are plain strings, the words that the
+definition file, `scores.csv` and `manifest.json` hold; `DIMENSIONS`,
+`QUADRANTS` and `TYPOLOGIES` list them.
+"""
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,31 +22,25 @@ from .errors import (
 )
 
 
-class Dimension(enum.Enum):
-    SUITABILITY = "suitability"
-    ATTRACTIVENESS = "attractiveness"
-
-
-class Quadrant(enum.Enum):
-    BOTH_HIGH = "BothHigh"
-    SUITABILITY_BIASED = "SuitabilityBiased"
-    ATTRACTIVENESS_BIASED = "AttractivenessBiased"
-    BOTH_LOW = "BothLow"
-
-
-class Typology(enum.Enum):
-    BALANCED = "Balanced"
-    SUITABILITY_BIASED = "SuitabilityBiased"
-    ATTRACTIVENESS_BIASED = "AttractivenessBiased"
-    NONE = "None"
+# The dimensions double as CompositeScores' field names; the quadrants and
+# typologies run in `quadrant_classify`'s order, the unlabeled case last.
+DIMENSIONS = ("suitability", "attractiveness")
+QUADRANTS = ("BothHigh", "SuitabilityBiased", "AttractivenessBiased", "BothLow")
+TYPOLOGIES = ("Balanced", "SuitabilityBiased", "AttractivenessBiased", "None")
 
 
 @dataclass(frozen=True)
 class FactorAssignment:
-    dimension: Dimension
+    """One factor's dimension, in any case, and its sign, 1 or -1."""
+
+    dimension: str
     sign: int
 
     def __post_init__(self):
+        dimension = str(self.dimension).lower()
+        if dimension not in DIMENSIONS:
+            raise SchemaError(f"has unknown dimension {self.dimension!r}")
+        object.__setattr__(self, "dimension", dimension)
         # True and 1.0 equal 1 in Python; only the integers are signs
         if type(self.sign) is not int or self.sign not in (-1, 1):
             raise SchemaError(f"sign must be the integer 1 or -1, got {self.sign!r}")
@@ -56,12 +54,12 @@ CompositeDefinition = tuple[FactorAssignment, ...]
 # Shipped default for six retained factors: the second and fourth factors
 # lower suitability, everything else counts positively toward its dimension.
 _DEFAULT_SIX = (
-    (Dimension.ATTRACTIVENESS, 1),
-    (Dimension.SUITABILITY, -1),
-    (Dimension.SUITABILITY, 1),
-    (Dimension.SUITABILITY, -1),
-    (Dimension.ATTRACTIVENESS, 1),
-    (Dimension.ATTRACTIVENESS, 1),
+    ("attractiveness", 1),
+    ("suitability", -1),
+    ("suitability", 1),
+    ("suitability", -1),
+    ("attractiveness", 1),
+    ("attractiveness", 1),
 )
 
 
@@ -94,13 +92,7 @@ def load_definition(path, n_factors: int) -> CompositeDefinition:
         if not isinstance(entry, dict) or "dimension" not in entry or "sign" not in entry:
             raise SchemaError(f"{path}: entry {label!r} needs 'dimension' and 'sign'")
         try:
-            dimension = Dimension(str(entry["dimension"]).lower())
-        except ValueError as exc:
-            raise SchemaError(
-                f"{path}: entry {label!r} has unknown dimension {entry['dimension']!r}"
-            ) from exc
-        try:
-            by_label[label] = FactorAssignment(dimension=dimension, sign=entry["sign"])
+            by_label[label] = FactorAssignment(entry["dimension"], entry["sign"])
         except SchemaError as exc:
             raise SchemaError(f"{path}: entry {label!r} {exc}") from exc
     labels = factor_labels(n_factors)
@@ -149,8 +141,8 @@ class RegionScores(CompositeScores):
 
     factor_scores: np.ndarray  # M x R
     v_scores: np.ndarray
-    quadrants: tuple[Quadrant, ...]
-    typologies: tuple[Typology, ...]
+    quadrants: tuple[str, ...]  # each one of QUADRANTS
+    typologies: tuple[str, ...]  # each one of TYPOLOGIES
 
 
 def composite_scores(
@@ -168,13 +160,12 @@ def composite_scores(
         )
     signs = np.array([a.sign for a in definition], dtype=float)
     signed = signs[:, None] * scores.values
-    rows = {dim: [m for m, a in enumerate(definition) if a.dimension is dim] for dim in Dimension}
     # a dimension without factors sums an empty selection: R positive zeros
-    return CompositeScores(
-        region_ids=scores.region_ids,
-        suitability=signed[rows[Dimension.SUITABILITY], :].sum(axis=0),
-        attractiveness=signed[rows[Dimension.ATTRACTIVENESS], :].sum(axis=0),
-    )
+    sums = {
+        dim: signed[[m for m, a in enumerate(definition) if a.dimension == dim], :].sum(axis=0)
+        for dim in DIMENSIONS
+    }
+    return CompositeScores(region_ids=scores.region_ids, **sums)
 
 
 def v_score(suitability, attractiveness, alpha: float):
@@ -214,21 +205,17 @@ def quadrant_classify(
     a_high = attr >= median(attr)
     both = s_high & a_high
     gap = _rank_normalize(suit) - _rank_normalize(attr)
-    quadrants = np.select(
-        [both, s_high, a_high],
-        [Quadrant.BOTH_HIGH, Quadrant.SUITABILITY_BIASED, Quadrant.ATTRACTIVENESS_BIASED],
-        default=Quadrant.BOTH_LOW,
-    )
+    quadrants = np.select([both, s_high, a_high], QUADRANTS[:3], default=QUADRANTS[3])
     typologies = np.select(
         [
             both & (np.abs(gap) <= config.balance_band),
             both & (gap > config.bias_band),
             both & (-gap > config.bias_band),
         ],
-        [Typology.BALANCED, Typology.SUITABILITY_BIASED, Typology.ATTRACTIVENESS_BIASED],
-        default=Typology.NONE,
+        TYPOLOGIES[:3],
+        default=TYPOLOGIES[3],
     )
-    return tuple(quadrants), tuple(typologies)
+    return tuple(quadrants.tolist()), tuple(typologies.tolist())
 
 
 def score_regions(
@@ -302,6 +289,7 @@ def top_k(region_ids, values, k: int):
     """Best k `(region id, value)` pairs by value, ties broken by region id."""
     if not 1 <= k <= len(region_ids):
         raise KRangeError(f"k must be within [1, {len(region_ids)}], got {k}")
+    values = np.asarray(values, dtype=float)
     negated = -values
     # the k best and every value tied with the k-th; a NaN sorts last in
     # both numpy orders, so a NaN cut keeps every region

@@ -160,8 +160,8 @@ def write_scores_csv(path, scores: RegionScores) -> Path:
     rows = table_rows(
         quoted(scores.region_ids),
         [*columns, scores.v_scores],
-        (quadrant.value for quadrant in scores.quadrants),
-        (typology.value for typology in scores.typologies),
+        scores.quadrants,
+        scores.typologies,
     )
     return write_table(path, [header], "%s,%s,%s,%s", rows)
 

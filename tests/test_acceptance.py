@@ -17,7 +17,6 @@ from scipy.optimize import linear_sum_assignment
 import expected_small4x6 as frozen
 import oracle
 from sitefactors import (
-    Dimension,
     FactorAssignment,
     FactorScores,
     SynthConfig,
@@ -142,8 +141,8 @@ def test_criterion_3_oracle_equivalence():
         )
 
         definition = (
-            FactorAssignment(dimension=Dimension.SUITABILITY, sign=1),
-            FactorAssignment(dimension=Dimension.ATTRACTIVENESS, sign=1),
+            FactorAssignment(dimension="suitability", sign=1),
+            FactorAssignment(dimension="attractiveness", sign=1),
         )
         composites = composite_scores(scores, definition)
         suit_ref, attr_ref = oracle.composite_scores(scores.values, [0], [1], [1.0, 1.0])
@@ -245,8 +244,8 @@ def test_criterion_4_invariant_suite():
                 region_ids=tuple(f"r{j:03d}" for j in range(n_regions)),
             )
             definition = (
-                FactorAssignment(dimension=Dimension.SUITABILITY, sign=1),
-                FactorAssignment(dimension=Dimension.ATTRACTIVENESS, sign=1),
+                FactorAssignment(dimension="suitability", sign=1),
+                FactorAssignment(dimension="attractiveness", sign=1),
             )
             composites = composite_scores(scores, definition)
             grid = sweep(
@@ -263,8 +262,8 @@ def test_criterion_4_invariant_suite():
 def test_criterion_5_endpoint_ranking_equivalence():
     with criterion(5, "v-score rankings at the endpoints equal component rankings"):
         definition = (
-            FactorAssignment(dimension=Dimension.SUITABILITY, sign=1),
-            FactorAssignment(dimension=Dimension.ATTRACTIVENESS, sign=1),
+            FactorAssignment(dimension="suitability", sign=1),
+            FactorAssignment(dimension="attractiveness", sign=1),
         )
         for seed in range(100):
             rng = np.random.default_rng(seed)

@@ -8,14 +8,11 @@ import expected_small4x6 as frozen
 import oracle
 from sitefactors import (
     AlphaRangeError,
-    Dimension,
     FactorAssignment,
     FactorScores,
     IncompleteDefinitionError,
     KRangeError,
-    Quadrant,
     SchemaError,
-    Typology,
     TypologyConfig,
     composite_scores,
     default_definition,
@@ -34,7 +31,7 @@ def simple_definition(n, suit_idx=(0,), signs=None):
     signs = signs or [1] * n
     return tuple(
         FactorAssignment(
-            dimension=Dimension.SUITABILITY if m in suit_idx else Dimension.ATTRACTIVENESS,
+            dimension="suitability" if m in suit_idx else "attractiveness",
             sign=signs[m],
         )
         for m in range(n)
@@ -112,11 +109,32 @@ class TestCompositeScores:
         assert np.array_equal(result.attractiveness, np.zeros(7))
         assert not np.signbit(result.attractiveness).any()
 
+    def test_hand_built_definition_in_any_case(self):
+        # the dimension is the definition file's word, in any case
+        values = np.random.default_rng(5).normal(size=(2, 7))
+        definition = (
+            FactorAssignment("suitability", 1),
+            FactorAssignment("Attractiveness", 1),
+        )
+        assert definition[1].dimension == "attractiveness"
+        result = composite_scores(scores_from(values), definition)
+        suit, attr = oracle.composite_scores(values, [0], [1], [1, 1])
+        assert_allclose(result.suitability, suit, atol=1e-10)
+        assert_allclose(result.attractiveness, attr, atol=1e-10)
+
+    def test_dimension_must_be_known(self):
+        for dimension in ("suitabilty", ["suitability"], None):
+            with pytest.raises(SchemaError, match="has unknown dimension"):
+                FactorAssignment(dimension, 1)
+        # the dimension is checked before the sign
+        with pytest.raises(SchemaError, match="has unknown dimension 'suitabilty'"):
+            FactorAssignment("suitabilty", True)
+
     def test_signs_must_be_unit(self):
         # True and 1.0 compare equal to 1, but only the integers are signs
         for sign in (2, True, 1.0, -1.0):
-            with pytest.raises(SchemaError):
-                FactorAssignment(dimension=Dimension.SUITABILITY, sign=sign)
+            with pytest.raises(SchemaError, match="sign must be the integer 1 or -1"):
+                FactorAssignment(dimension="suitability", sign=sign)
 
 
 class TestDefinitionFile:
@@ -133,15 +151,18 @@ class TestDefinitionFile:
         definition = load_definition(path, 2)
         assert [a.sign for a in definition] == [1, -1]
         assert [a.dimension for a in definition] == [
-            Dimension.SUITABILITY,
-            Dimension.ATTRACTIVENESS,
+            "suitability",
+            "attractiveness",
         ]
 
     def test_bad_dimension_rejected(self, tmp_path):
         path = tmp_path / "definition.json"
-        path.write_text(json.dumps({"factor_1": {"dimension": "niceness", "sign": 1}}))
-        with pytest.raises(SchemaError):
-            load_definition(path, 1)
+        for dimension in ("niceness", "Suitabilty", ["suitability"]):
+            path.write_text(json.dumps({"factor_1": {"dimension": dimension, "sign": 1}}))
+            with pytest.raises(SchemaError) as caught:
+                load_definition(path, 1)
+            message = f"{path}: entry 'factor_1' has unknown dimension {dimension!r}"
+            assert str(caught.value) == message
 
     def test_bad_sign_rejected(self, tmp_path):
         path = tmp_path / "definition.json"
@@ -190,8 +211,8 @@ class TestQuadrants:
             attractiveness=np.array([-0.4]),
         )
         quadrants, typologies = quadrant_classify(composites)
-        assert quadrants == (Quadrant.BOTH_HIGH,)
-        assert typologies == (Typology.BALANCED,)
+        assert quadrants == ("BothHigh",)
+        assert typologies == ("Balanced",)
 
     def test_extreme_split_is_suitability_biased_quadrant(self):
         rng = np.random.default_rng(8)
@@ -203,8 +224,8 @@ class TestQuadrants:
             attractiveness=attr,
         )
         quadrants, _ = quadrant_classify(composites)
-        assert quadrants[95] == Quadrant.SUITABILITY_BIASED
-        assert quadrants[5] == Quadrant.ATTRACTIVENESS_BIASED
+        assert quadrants[95] == "SuitabilityBiased"
+        assert quadrants[5] == "AttractivenessBiased"
 
     def test_matches_brute_force_on_random_set(self):
         rng = np.random.default_rng(31)
@@ -217,7 +238,7 @@ class TestQuadrants:
         )
         quadrants, _ = quadrant_classify(composites)
         expected = oracle.median_quadrants(suit, attr)
-        assert [q.value for q in quadrants] == expected
+        assert list(quadrants) == expected
 
     def test_counts_partition_regions(self):
         rng = np.random.default_rng(13)
@@ -241,10 +262,10 @@ class TestQuadrants:
         quadrants, typologies = quadrant_classify(
             composites, TypologyConfig(balance_band=0.1, bias_band=0.5)
         )
-        assert quadrants[0] == Quadrant.BOTH_HIGH
-        assert typologies[0] == Typology.BALANCED
-        assert typologies[1] == Typology.NONE  # not in the high-high quadrant
-        assert quadrants[3] == Quadrant.BOTH_LOW
+        assert quadrants[0] == "BothHigh"
+        assert typologies[0] == "Balanced"
+        assert typologies[1] == "None"  # not in the high-high quadrant
+        assert quadrants[3] == "BothLow"
 
     def test_biased_typologies_inside_high_quadrant(self):
         # region 4 sits above both medians: top suitability rank (1.0 after
@@ -259,8 +280,8 @@ class TestQuadrants:
         quadrants, typologies = quadrant_classify(
             composites, TypologyConfig(balance_band=0.05, bias_band=0.4)
         )
-        assert quadrants[4] == Quadrant.BOTH_HIGH
-        assert typologies[4] == Typology.SUITABILITY_BIASED
+        assert quadrants[4] == "BothHigh"
+        assert typologies[4] == "SuitabilityBiased"
 
     def test_gap_at_bias_band_stays_unlabeled(self):
         # rank fractions: suitability (0, 0.5, 1), attractiveness (0, 1, 0.5);
@@ -273,20 +294,20 @@ class TestQuadrants:
         quadrants, typologies = quadrant_classify(
             composites, TypologyConfig(balance_band=0.1, bias_band=0.5)
         )
-        assert quadrants[1:] == (Quadrant.BOTH_HIGH, Quadrant.BOTH_HIGH)
-        assert typologies[1:] == (Typology.NONE, Typology.NONE)
+        assert quadrants[1:] == ("BothHigh", "BothHigh")
+        assert typologies[1:] == ("None", "None")
         quadrants, typologies = quadrant_classify(
             composites, TypologyConfig(balance_band=0.1, bias_band=0.4)
         )
         assert typologies[1:] == (
-            Typology.ATTRACTIVENESS_BIASED,
-            Typology.SUITABILITY_BIASED,
+            "AttractivenessBiased",
+            "SuitabilityBiased",
         )
 
     def test_fixture_quadrants(self, fixture_scores, fixture_definition):
         composites = composite_scores(fixture_scores, fixture_definition)
         quadrants, _ = quadrant_classify(composites)
-        assert [q.value for q in quadrants] == frozen.QUADRANTS
+        assert list(quadrants) == frozen.QUADRANTS
 
 
 class TestSweep:
@@ -440,6 +461,13 @@ class TestTopK:
             list(regions.region_ids), regions.suitability, 6
         )
         assert [rid for rid, _ in ranking] == expected
+
+    def test_values_are_read_as_floats(self):
+        # a list, booleans, and unsigned integers, whose negation would wrap
+        ids = ("a", "b", "c")
+        assert top_k(ids, [1.0, 3.0, 2.0], 2) == [("b", 3.0), ("c", 2.0)]
+        assert top_k(ids, np.array([False, True, True]), 2) == [("b", 1.0), ("c", 1.0)]
+        assert top_k(ids, np.array([0, 3, 2], dtype=np.uint8), 1) == [("b", 3.0)]
 
     def test_k_out_of_range(self):
         regions = self.build([1.0, 2.0, 0.5], [0.0, 1.0, 2.0])

@@ -296,6 +296,43 @@ class TestPafIterate:
             atol=1e-12,
         )
 
+    def test_unconverged_subspace_rounds_take_the_full_eigh(self, monkeypatch):
+        # on this weak plant (M = 1) the filtered step twice uses up its
+        # SUBSPACE_ROUNDS rounds of two order-M solves without meeting the
+        # residual bound, and the pass falls back to a full eigh
+        config = SynthConfig(
+            seed=893934398, n_attributes=20, n_regions=287, n_factors=4,
+            loading=0.4, noise_std=0.86,
+        )
+        corr = correlation(standardize(generate(config)[0]))
+        start, _ = initial_communalities(corr)
+        reference = oracle.paf_trajectory(corr, start)
+        sizes = eigh_sizes(monkeypatch)
+        model = paf(corr.copy())
+        assert (model.n_factors, model.iterations_used) == (1, reference["iterations"])
+        assert sizes.count(20) > 1
+        rounds = [1] * (2 * engine.SUBSPACE_ROUNDS) + [20]
+        starts = [k for k in range(len(sizes)) if sizes[k:k + len(rounds)] == rounds]
+        assert len(starts) == 2
+        for communalities, (_, theirs) in zip(model.trajectory, reference["steps"]):
+            assert_allclose(communalities, theirs, rtol=0, atol=1e-12)
+
+    def test_collapsed_gram_matrix_takes_the_full_eigh(self, monkeypatch):
+        # no plant is known to collapse the filtered block's Gram matrix; a
+        # tolerance of 1 refuses every Gram matrix, so each pass after the
+        # first stops at its SVQB solve and runs a full eigh
+        config = SynthConfig(seed=1, n_attributes=12, n_regions=200, n_factors=2)
+        corr = correlation(standardize(generate(config)[0]))
+        start, _ = initial_communalities(corr)
+        reference = oracle.paf_trajectory(corr, start)
+        monkeypatch.setattr(engine, "SUBSPACE_TOLERANCE", 1.0)
+        sizes = eigh_sizes(monkeypatch)
+        model = paf(corr.copy())
+        assert model.iterations_used == reference["iterations"] > 1
+        assert sizes == [12] + [2, 12] * (model.iterations_used - 1)
+        for communalities, (_, theirs) in zip(model.trajectory, reference["steps"]):
+            assert_allclose(communalities, theirs, rtol=0, atol=1e-12)
+
     def test_communalities_stay_clamped(self, matrix):
         model = paf(correlation(matrix))
         for communalities in model.trajectory:

@@ -18,8 +18,8 @@ from scipy import stats as spstats
 
 import oracle
 from sitefactors import (
+    DIMENSIONS,
     AttributeTable,
-    Dimension,
     EngineConfig,
     FactorAssignment,
     FactorScores,
@@ -379,8 +379,8 @@ def random_composites(seed, n_regions=60):
         region_ids=tuple(f"r{j:03d}" for j in range(n_regions)),
     )
     definition = (
-        FactorAssignment(dimension=Dimension.SUITABILITY, sign=1),
-        FactorAssignment(dimension=Dimension.ATTRACTIVENESS, sign=1),
+        FactorAssignment(dimension="suitability", sign=1),
+        FactorAssignment(dimension="attractiveness", sign=1),
     )
     return scores, definition
 
@@ -564,8 +564,8 @@ def test_quadrants_and_typologies_match_brute_force(pairs, band_a, band_b):
     quadrants, typologies = quadrant_classify(
         composites, TypologyConfig(balance_band=balance, bias_band=bias)
     )
-    assert [q.value for q in quadrants] == oracle.median_quadrants(suit, attr)
-    assert [t.value for t in typologies] == oracle.typologies(suit, attr, balance, bias)
+    assert list(quadrants) == oracle.median_quadrants(suit, attr)
+    assert list(typologies) == oracle.typologies(suit, attr, balance, bias)
 
 
 @SETTINGS
@@ -760,7 +760,7 @@ def definition_entries(draw):
     entries = [
         (
             f"factor_{k + 1}",
-            draw(st.sampled_from([d.value for d in Dimension] + ["Suitability"])),
+            draw(st.sampled_from([*DIMENSIONS, "Suitability"])),
             draw(st.sampled_from([1, -1])),
         )
         for k in range(m)
@@ -774,7 +774,7 @@ def test_load_definition_binds_in_label_order(case, data):
     m, entries = case
     by_label = {label: (text, sign) for label, text, sign in entries}
     expected = tuple(
-        FactorAssignment(dimension=Dimension(text.lower()), sign=sign)
+        FactorAssignment(dimension=text.lower(), sign=sign)
         for text, sign in (by_label[f"factor_{k + 1}"] for k in range(m))
     )
     k = data.draw(st.integers(0, m - 1))

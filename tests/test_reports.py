@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sitefactors import (
+    QUADRANTS,
+    TYPOLOGIES,
     AttributeTable,
     DescriptiveStats,
-    Quadrant,
     RegionScores,
     SweepGrid,
     SynthConfig,
-    Typology,
     generate,
     synth,
     variance_accounting,
@@ -122,8 +122,8 @@ def test_scores_csv_of_several_chunks_matches_per_cell_rendering(tmp_path):
         suitability=values[:, 2],
         attractiveness=values[:, 3],
         v_scores=values[:, 4],
-        quadrants=(Quadrant.BOTH_LOW,) * n,
-        typologies=(Typology.NONE,) * n,
+        quadrants=("BothLow",) * n,
+        typologies=("None",) * n,
     )
     path = write_scores_csv(tmp_path / "scores.csv", scores)
     rows = per_cell_rows(ids, [*values.T, ["BothLow"] * n, ["None"] * n])
@@ -164,8 +164,8 @@ def test_scores_csv_matches_per_cell_rendering(tmp_path):
         suitability=np.where(values == 1.5, np.nan, -values),
         attractiveness=values * 3.0,
         v_scores=np.roll(values, 3),
-        quadrants=tuple(Quadrant)[:2] * 4,
-        typologies=tuple(Typology) * 2,
+        quadrants=QUADRANTS[:2] * 4,
+        typologies=TYPOLOGIES * 2,
     )
     path = write_scores_csv(tmp_path / "scores.csv", scores)
     header = "region_id,f_1,f_2,suitability,attractiveness,v_score,quadrant,typology"
@@ -176,8 +176,8 @@ def test_scores_csv_matches_per_cell_rendering(tmp_path):
             scores.suitability,
             scores.attractiveness,
             scores.v_scores,
-            [q.value for q in scores.quadrants],
-            [t.value for t in scores.typologies],
+            list(scores.quadrants),
+            list(scores.typologies),
         ],
     )
     expected = "\n".join([header, *rows]) + "\n"
